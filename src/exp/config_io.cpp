@@ -1,5 +1,6 @@
 #include "tvp/exp/config_io.hpp"
 
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -72,6 +73,19 @@ const char* pattern_name(trace::AttackPattern pattern) {
     case trace::AttackPattern::kFuzzed: return "fuzzed";
   }
   return "double";
+}
+
+// Reads an integer key that lands in a 32-bit field. get_int hands back
+// -1 as -1, which a bare narrowing cast would turn into 4294967295.
+std::uint32_t get_u32(const util::KeyValueFile& file, const std::string& key,
+                      std::uint32_t fallback, std::uint32_t lo,
+                      std::uint32_t hi) {
+  const std::int64_t value = file.get_int(key, fallback);
+  if (value < lo || value > hi)
+    throw std::invalid_argument("config: key '" + key + "' must be in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) +
+                                "]");
+  return static_cast<std::uint32_t>(value);
 }
 
 }  // namespace
@@ -186,10 +200,11 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
     attack.rows_per_bank = config.geometry.rows_per_bank;
     attack.bank = static_cast<dram::BankId>(file.get_int(prefix + "bank", 0));
     attack.pattern = parse_pattern(file.get(prefix + "pattern", "double"));
-    attack.sides =
-        static_cast<std::uint32_t>(file.get_int(prefix + "sides", attack.sides));
-    attack.far_per_near = static_cast<std::uint32_t>(
-        file.get_int(prefix + "far_per_near", attack.far_per_near));
+    attack.sides = get_u32(file, prefix + "sides", attack.sides, 1,
+                           config.geometry.rows_per_bank);
+    attack.far_per_near =
+        get_u32(file, prefix + "far_per_near", attack.far_per_near, 1,
+                std::numeric_limits<std::uint32_t>::max());
 
     const std::string victims = file.get(prefix + "victims", "~1");
     if (!victims.empty() && victims[0] == '~') {
@@ -209,10 +224,18 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
       }
     }
     const double rate = file.get_double(prefix + "rate", 24.0);
-    if (rate <= 0) throw std::invalid_argument("config: attack rate must be > 0");
-    attack.interarrival_ps =
-        static_cast<std::uint64_t>(config.timing.t_refi_ps() / rate);
+    if (rate <= 0)
+      throw std::invalid_argument("config: key '" + prefix + "rate' must be > 0");
+    const double interarrival = config.timing.t_refi_ps() / rate;
+    if (!(interarrival >= 1.0 && interarrival < 0x1p64))
+      throw std::invalid_argument(
+          "config: key '" + prefix +
+          "rate' must give an interarrival of at least 1 ps and below 2^64 ps");
+    attack.interarrival_ps = static_cast<std::uint64_t>(interarrival);
     const double start_frac = file.get_double(prefix + "start_frac", 0.0);
+    if (!(start_frac >= 0.0 && start_frac < 1.0))
+      throw std::invalid_argument("config: key '" + prefix +
+                                  "start_frac' must be in [0, 1)");
     attack.start_ps = static_cast<std::uint64_t>(
         start_frac * static_cast<double>(config.timing.t_refw_ps));
     attack.source_id = static_cast<trace::SourceId>(200 + i);

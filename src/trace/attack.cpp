@@ -20,7 +20,9 @@ const char* to_string(AttackPattern pattern) noexcept {
 }
 
 AttackSource::AttackSource(AttackConfig config)
-    : cfg_(std::move(config)), now_ps_(cfg_.start_ps) {
+    : cfg_(std::move(config)),
+      now_ps_(cfg_.start_ps),
+      far_left_(cfg_.far_per_near) {
   if (cfg_.victims.empty())
     throw std::invalid_argument("AttackSource: no victims configured");
   if (cfg_.interarrival_ps == 0)
@@ -106,35 +108,60 @@ AttackSource::AttackSource(AttackConfig config)
     throw std::invalid_argument("AttackSource: no valid aggressors derived");
 }
 
-std::optional<AccessRecord> AttackSource::next() {
-  now_ps_ += cfg_.interarrival_ps;
-  if (now_ps_ >= cfg_.end_ps) return std::nullopt;
-  AccessRecord rec;
-  rec.time_ps = now_ps_;
-  rec.bank = cfg_.bank;
-  ++emitted_;
-  if (cfg_.pattern == AttackPattern::kFuzzed) {
-    // Fuzzed patterns replay their explicit base period cyclically.
-    rec.row = cfg_.schedule[cursor_];
-    cursor_ = (cursor_ + 1) % cfg_.schedule.size();
+template <bool kDribble>
+void AttackSource::generate(AccessRecord* out, std::size_t n) {
+  // Fuzzed patterns replay their explicit base period cyclically; the
+  // others rotate through the derived aggressors.
+  const std::vector<dram::RowId>& cycle =
+      cfg_.pattern == AttackPattern::kFuzzed ? cfg_.schedule : aggressors_;
+  const dram::RowId* rows = cycle.data();
+  const std::size_t cycle_len = cycle.size();
+  const std::uint64_t interarrival = cfg_.interarrival_ps;
+  std::uint64_t now = now_ps_;
+  std::size_t cursor = cursor_;
+  std::size_t dribble_cursor = dribble_cursor_;
+  std::uint64_t far_left = far_left_;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    now += interarrival;
+    AccessRecord& rec = out[i];
+    rec.time_ps = now;
+    rec.bank = cfg_.bank;
+    // Half-double interleaves one near-row dribble after every
+    // far_per_near hammering activations.
+    if (kDribble && far_left == 0) {
+      far_left = cfg_.far_per_near;
+      rec.row = dribble_[dribble_cursor];
+      if (++dribble_cursor == dribble_.size()) dribble_cursor = 0;
+    } else {
+      if (kDribble) --far_left;
+      rec.row = rows[cursor];
+      if (++cursor == cycle_len) cursor = 0;
+    }
     rec.write = false;
     rec.is_attack = true;
     rec.source = cfg_.source_id;
-    return rec;
   }
-  // Half-double interleaves one near-row dribble after every
-  // far_per_near hammering activations.
-  if (!dribble_.empty() && emitted_ % (cfg_.far_per_near + 1) == 0) {
-    rec.row = dribble_[dribble_cursor_];
-    dribble_cursor_ = (dribble_cursor_ + 1) % dribble_.size();
-  } else {
-    rec.row = aggressors_[cursor_];
-    cursor_ = (cursor_ + 1) % aggressors_.size();
-  }
-  rec.write = false;
-  rec.is_attack = true;
-  rec.source = cfg_.source_id;
-  return rec;
+
+  now_ps_ = now;
+  cursor_ = cursor;
+  dribble_cursor_ = dribble_cursor;
+  far_left_ = far_left;
+}
+
+std::size_t AttackSource::next_batch(AccessRecord* out, std::size_t max) {
+  // Records k = 1, 2, ... land at now + k * interarrival; those before
+  // end_ps are the ones left. Counting them up front keeps the clock
+  // from ever running past end_ps (or wrapping).
+  if (now_ps_ >= cfg_.end_ps) return 0;
+  const std::uint64_t left = (cfg_.end_ps - 1 - now_ps_) / cfg_.interarrival_ps;
+  const auto n =
+      static_cast<std::size_t>(std::min<std::uint64_t>(max, left));
+  if (dribble_.empty())
+    generate<false>(out, n);
+  else
+    generate<true>(out, n);
+  return n;
 }
 
 AttackConfig make_multi_aggressor_attack(dram::BankId bank, dram::RowId rows_per_bank,

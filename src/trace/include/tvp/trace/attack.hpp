@@ -66,11 +66,17 @@ struct AttackConfig {
 
 /// Emits the attacker's activation stream: the derived aggressor rows,
 /// activated round-robin with fixed spacing.
+///
+/// next_batch() is the generation body: it works out how many records
+/// fit before end_ps once per batch, then walks the row cycle (the
+/// explicit schedule for kFuzzed, the aggressors otherwise) with the
+/// half-double dribble counted in 64 bits.
 class AttackSource final : public TraceSource {
  public:
   explicit AttackSource(AttackConfig config);
 
-  std::optional<AccessRecord> next() override;
+  std::optional<AccessRecord> next() override { return next_via_batch(); }
+  std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   /// Hammered aggressor rows (the far rows for kHalfDouble).
   const std::vector<dram::RowId>& aggressors() const noexcept { return aggressors_; }
@@ -79,13 +85,17 @@ class AttackSource final : public TraceSource {
   const AttackConfig& config() const noexcept { return cfg_; }
 
  private:
+  template <bool kDribble>
+  void generate(AccessRecord* out, std::size_t n);
+
   AttackConfig cfg_;
   std::vector<dram::RowId> aggressors_;
   std::vector<dram::RowId> dribble_;
   std::uint64_t now_ps_;
   std::size_t cursor_ = 0;
   std::size_t dribble_cursor_ = 0;
-  std::uint64_t emitted_ = 0;
+  /// kHalfDouble: far-row activations left before the next dribble.
+  std::uint64_t far_left_;
 };
 
 /// Picks @p n_victims well-separated victim rows in a bank (at least 8

@@ -3,11 +3,17 @@
 // Generators (synthetic workloads, attackers, file readers) implement
 // TraceSource; MergedSource interleaves any number of them into one
 // time-ordered stream, which is what the memory controller consumes.
+//
+// Batch first: next_batch() is the primitive the simulator pulls
+// through. The generated-workload sources (SyntheticSource,
+// AttackSource, MergedSource, LimitSource) have exactly one generation
+// body, their batch kernel; their next() is a one-record next_batch()
+// call into it. Sources whose records already sit in memory
+// (VectorSource, MmapSource) additionally lend zero-copy spans.
 #pragma once
 
 #include <memory>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "tvp/trace/record.hpp"
@@ -23,11 +29,11 @@ class TraceSource {
   /// Next record, or nullopt when the stream is exhausted.
   virtual std::optional<AccessRecord> next() = 0;
 
-  /// Fills @p out with up to @p max records and returns the count
-  /// (0 = exhausted). The record sequence is exactly the one next()
-  /// would produce — batching only amortizes the per-record virtual
-  /// call from the consumer's side. The base implementation loops
-  /// next(); sources with cheap bulk access override it.
+  /// Fills @p out with up to @p max records and returns the count. The
+  /// record sequence is exactly the one next() would produce, for any
+  /// split into batches. A count below @p max means the stream is
+  /// exhausted (0 on every later call); consumers such as LimitSource
+  /// rely on that. The base implementation loops next().
   virtual std::size_t next_batch(AccessRecord* out, std::size_t max);
 
   /// True when next_span() is cheaper than next_batch() for this
@@ -59,6 +65,14 @@ class TraceSource {
     *lane_banks = 0;
     return next_span(data);
   }
+
+ protected:
+  /// next() of a batch-native source: one record through next_batch().
+  std::optional<AccessRecord> next_via_batch() {
+    AccessRecord rec;
+    if (next_batch(&rec, 1) == 0) return std::nullopt;
+    return rec;
+  }
 };
 
 /// Replays a pre-built vector of records (must be time-sorted; verified
@@ -78,32 +92,52 @@ class VectorSource final : public TraceSource {
   std::size_t pos_ = 0;
 };
 
-/// Merges multiple sources into one time-ordered stream (stable k-way
-/// merge; ties broken by source registration order).
+/// Merges multiple sources into one time-ordered stream: a stable
+/// k-way merge, ties broken by source registration order.
+///
+/// Block merge: each source fills its own kBlockRecords-record block
+/// through next_batch(); a min-select over the cached head times picks
+/// the lane to emit from, and that lane keeps emitting while it stays
+/// ahead of the runner-up, so each record is copied once into the
+/// caller's batch. A source leaves the merge the first time its
+/// next_batch() returns 0 — exhaustion is tracked explicitly, never
+/// through a sentinel time, so a record at time_ps == UINT64_MAX merges
+/// like any other.
+///
+/// Lookahead: a source is pulled up to one block ahead of the merged
+/// output (and ahead of any time cut a LimitSource applies on top).
+/// The output is still exactly the merge of the per-source streams,
+/// provided the sources share no mutable state — two sources drawing
+/// from one util::Rng, say, would see their draws reordered. Give every
+/// source its own stream (build_workload forks one per source).
 class MergedSource final : public TraceSource {
  public:
+  /// Records each source buffers ahead of the merge.
+  static constexpr std::size_t kBlockRecords = 256;
+
   explicit MergedSource(std::vector<std::unique_ptr<TraceSource>> sources);
-  std::optional<AccessRecord> next() override;
-  /// Runs the merge loop inline, one virtual call per batch.
+  std::optional<AccessRecord> next() override { return next_via_batch(); }
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
  private:
-  struct Head {
-    AccessRecord record;
-    std::size_t index;
-  };
-  struct HeadLater {
-    bool operator()(const Head& a, const Head& b) const noexcept {
-      if (a.record.time_ps != b.record.time_ps)
-        return a.record.time_ps > b.record.time_ps;
-      return a.index > b.index;
-    }
+  struct Lane {
+    TraceSource* source = nullptr;
+    AccessRecord* block = nullptr;  // kBlockRecords slots in blocks_
+    std::size_t pos = 0;
+    std::size_t len = 0;
   };
 
-  void refill(std::size_t index);
+  /// Refills lane @p i's block; drops the lane (keeping the others in
+  /// registration order) when its source is exhausted. Returns false
+  /// when it dropped the lane.
+  bool refill(std::size_t i);
 
   std::vector<std::unique_ptr<TraceSource>> sources_;
-  std::priority_queue<Head, std::vector<Head>, HeadLater> heads_;
+  std::vector<AccessRecord> blocks_;
+  /// Live lanes in registration order; heads_[i] caches the time of
+  /// lanes_[i]'s next record (always pos < len for a live lane).
+  std::vector<Lane> lanes_;
+  std::vector<std::uint64_t> heads_;
 };
 
 /// Truncates an underlying source after @p limit records or @p end_ps
@@ -112,9 +146,12 @@ class LimitSource final : public TraceSource {
  public:
   LimitSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit_records,
               std::uint64_t end_ps);
-  std::optional<AccessRecord> next() override;
-  /// Forwards to the inner source's batch path, applying the record and
-  /// time limits per record (identical cut-off to next()).
+  std::optional<AccessRecord> next() override { return next_via_batch(); }
+  /// Forwards to the inner source's batch path and applies the record
+  /// limit and the time cut. The batch is time-sorted, so the cut is
+  /// checked against its last record and searched for only when it
+  /// falls inside the batch; the first out-of-range record ends the
+  /// stream.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   /// Spans pass through when the inner source supports them.
   bool supports_spans() const noexcept override {

@@ -46,16 +46,25 @@ struct SyntheticConfig {
 
 /// Infinite Poisson-arrival stream with the configured locality profile.
 /// Wrap in LimitSource to bound it.
+///
+/// next_batch() is the generation body: one kernel per profile, with
+/// the RNG, clock and cursors held in locals for the whole batch. Per
+/// record it draws, in this order: the exponential gap, the row
+/// (profile-dependent), the bank skip, the write flag. The stream is a
+/// function of (config, rng) alone, independent of how it is batched.
 class SyntheticSource final : public TraceSource {
  public:
   SyntheticSource(SyntheticConfig config, util::Rng rng);
 
-  std::optional<AccessRecord> next() override;
+  std::optional<AccessRecord> next() override { return next_via_batch(); }
+  /// Infinite stream: always fills all @p max records.
+  std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   const SyntheticConfig& config() const noexcept { return cfg_; }
 
  private:
-  dram::RowId next_row();
+  template <AccessProfile P>
+  void generate(AccessRecord* out, std::size_t n);
 
   SyntheticConfig cfg_;
   util::Rng rng_;

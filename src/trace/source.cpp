@@ -47,32 +47,68 @@ std::size_t VectorSource::next_span(const AccessRecord** data) {
 }
 
 MergedSource::MergedSource(std::vector<std::unique_ptr<TraceSource>> sources)
-    : sources_(std::move(sources)) {
+    : sources_(std::move(sources)),
+      blocks_(sources_.size() * kBlockRecords) {
+  lanes_.reserve(sources_.size());
+  heads_.reserve(sources_.size());
   for (std::size_t i = 0; i < sources_.size(); ++i) {
     if (!sources_[i]) throw std::invalid_argument("MergedSource: null source");
-    refill(i);
+    lanes_.push_back(Lane{sources_[i].get(), blocks_.data() + i * kBlockRecords,
+                          0, 0});
+    heads_.push_back(0);
+    refill(lanes_.size() - 1);
   }
 }
 
-void MergedSource::refill(std::size_t index) {
-  if (auto rec = sources_[index]->next()) heads_.push(Head{*rec, index});
-}
-
-std::optional<AccessRecord> MergedSource::next() {
-  if (heads_.empty()) return std::nullopt;
-  Head head = heads_.top();
-  heads_.pop();
-  refill(head.index);
-  return head.record;
+bool MergedSource::refill(std::size_t i) {
+  Lane& lane = lanes_[i];
+  lane.pos = 0;
+  lane.len = lane.source->next_batch(lane.block, kBlockRecords);
+  if (lane.len == 0) {
+    lanes_.erase(lanes_.begin() + static_cast<std::ptrdiff_t>(i));
+    heads_.erase(heads_.begin() + static_cast<std::ptrdiff_t>(i));
+    return false;
+  }
+  heads_[i] = lane.block[0].time_ps;
+  return true;
 }
 
 std::size_t MergedSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
-  while (n < max && !heads_.empty()) {
-    const Head head = heads_.top();
-    heads_.pop();
-    refill(head.index);
-    out[n++] = head.record;
+  while (n < max && !lanes_.empty()) {
+    // Min-select over the cached heads, tracking the runner-up too.
+    // Strict comparisons keep the earlier-registered lane on ties.
+    const std::size_t k = heads_.size();
+    std::size_t best = 0;
+    std::size_t second = k;
+    for (std::size_t i = 1; i < k; ++i) {
+      if (heads_[i] < heads_[best]) {
+        second = best;
+        best = i;
+      } else if (second == k || heads_[i] < heads_[second]) {
+        second = i;
+      }
+    }
+    // The winner emits while it stays ahead of the runner-up: up to and
+    // including the runner-up's head time when the winner registered
+    // first, strictly below it otherwise (then the runner-up's head is
+    // strictly later than the winner's, so the subtraction cannot wrap).
+    std::uint64_t limit = ~0ull;
+    if (second != k) limit = heads_[second] - (second < best ? 1 : 0);
+
+    Lane& lane = lanes_[best];
+    for (;;) {
+      const AccessRecord* block = lane.block;
+      std::size_t pos = lane.pos;
+      const std::size_t end = pos + std::min(lane.len - pos, max - n);
+      while (pos < end && block[pos].time_ps <= limit) out[n++] = block[pos++];
+      lane.pos = pos;
+      if (pos < lane.len) {
+        heads_[best] = block[pos].time_ps;
+        break;
+      }
+      if (!refill(best)) break;
+    }
   }
   return n;
 }
@@ -83,30 +119,20 @@ LimitSource::LimitSource(std::unique_ptr<TraceSource> inner,
   if (!inner_) throw std::invalid_argument("LimitSource: null source");
 }
 
-std::optional<AccessRecord> LimitSource::next() {
-  if (remaining_ == 0) return std::nullopt;
-  auto rec = inner_->next();
-  if (!rec || rec->time_ps >= end_ps_) {
-    remaining_ = 0;
-    return std::nullopt;
-  }
-  --remaining_;
-  return rec;
-}
-
 std::size_t LimitSource::next_batch(AccessRecord* out, std::size_t max) {
   if (remaining_ == 0) return 0;
   const std::size_t want = static_cast<std::size_t>(
       std::min<std::uint64_t>(max, remaining_));
-  const std::size_t got = inner_->next_batch(out, want);
-  // Cut at the time horizon exactly where next() would have: the first
-  // out-of-range record kills the stream (records are time-ordered, so
-  // everything after it is out of range too).
-  for (std::size_t i = 0; i < got; ++i) {
-    if (out[i].time_ps >= end_ps_) {
-      remaining_ = 0;
-      return i;
-    }
+  std::size_t got = inner_->next_batch(out, want);
+  if (got > 0 && out[got - 1].time_ps >= end_ps_) {
+    got = static_cast<std::size_t>(
+        std::partition_point(out, out + got,
+                             [this](const AccessRecord& r) {
+                               return r.time_ps < end_ps_;
+                             }) -
+        out);
+    remaining_ = 0;
+    return got;
   }
   remaining_ -= got;
   if (got < want) remaining_ = 0;  // inner exhausted

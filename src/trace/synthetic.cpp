@@ -20,8 +20,10 @@ SyntheticSource::SyntheticSource(SyntheticConfig config, util::Rng rng)
     : cfg_(config), rng_(rng), now_ps_(static_cast<double>(config.start_ps)) {
   if (cfg_.banks == 0 || cfg_.rows_per_bank == 0)
     throw std::invalid_argument("SyntheticSource: zero banks or rows");
-  if (cfg_.mean_interarrival_ps <= 0.0)
-    throw std::invalid_argument("SyntheticSource: non-positive interarrival");
+  if (!(cfg_.mean_interarrival_ps > 0.0) ||
+      !std::isfinite(cfg_.mean_interarrival_ps))
+    throw std::invalid_argument(
+        "SyntheticSource: interarrival must be positive and finite");
   if (cfg_.profile == AccessProfile::kHotspot) {
     hot_rows_.reserve(cfg_.hotspot_rows);
     for (std::uint32_t i = 0; i < cfg_.hotspot_rows; ++i)
@@ -30,50 +32,88 @@ SyntheticSource::SyntheticSource(SyntheticConfig config, util::Rng rng)
   cursor_ = static_cast<dram::RowId>(rng_.below(cfg_.rows_per_bank));
 }
 
-dram::RowId SyntheticSource::next_row() {
+template <AccessProfile P>
+void SyntheticSource::generate(AccessRecord* out, std::size_t n) {
+  util::Rng rng = rng_;
+  double now = now_ps_;
+  dram::RowId cursor = cursor_;
+  std::uint32_t bank = bank_cursor_;
+  const double mean = cfg_.mean_interarrival_ps;
   const dram::RowId rows = cfg_.rows_per_bank;
-  switch (cfg_.profile) {
-    case AccessProfile::kStreaming:
-      cursor_ = (cursor_ + 1) % rows;
-      return cursor_;
-    case AccessProfile::kStrided:
-      cursor_ = (cursor_ + cfg_.stride) % rows;
-      return cursor_;
-    case AccessProfile::kRandom:
-      return static_cast<dram::RowId>(rng_.below(rows));
-    case AccessProfile::kHotspot:
-      if (!hot_rows_.empty() && rng_.bernoulli(cfg_.hotspot_bias))
-        return hot_rows_[rng_.below(hot_rows_.size())];
-      return static_cast<dram::RowId>(rng_.below(rows));
-    case AccessProfile::kPointerChase: {
-      // Random walk: jump up to +/- chase_jump rows, occasionally revisit.
+  const std::uint32_t banks = cfg_.banks;
+  const double write_fraction = cfg_.write_fraction;
+  const SourceId source = cfg_.source_id;
+  const dram::RowId* hot = hot_rows_.data();
+  const std::size_t hot_count = hot_rows_.size();
+
+  for (std::size_t i = 0; i < n; ++i) {
+    now += rng.exponential(mean);
+    dram::RowId row = 0;
+    if constexpr (P == AccessProfile::kStreaming) {
+      if (++cursor == rows) cursor = 0;
+      row = cursor;
+    } else if constexpr (P == AccessProfile::kStrided) {
+      cursor = (cursor + cfg_.stride) % rows;
+      row = cursor;
+    } else if constexpr (P == AccessProfile::kRandom) {
+      row = static_cast<dram::RowId>(rng.below(rows));
+    } else if constexpr (P == AccessProfile::kHotspot) {
+      if (hot_count != 0 && rng.bernoulli(cfg_.hotspot_bias))
+        row = hot[rng.below(hot_count)];
+      else
+        row = static_cast<dram::RowId>(rng.below(rows));
+    } else {
+      // Pointer chase: random walk of up to +/- chase_jump rows, wrapped
+      // into the bank (the division only runs when the walk wraps).
       const auto jump = static_cast<std::int64_t>(
-                            rng_.below(2ull * cfg_.chase_jump + 1)) -
+                            rng.below(2ull * cfg_.chase_jump + 1)) -
                         static_cast<std::int64_t>(cfg_.chase_jump);
-      auto pos = static_cast<std::int64_t>(cursor_) + jump;
-      const auto n = static_cast<std::int64_t>(rows);
-      pos = ((pos % n) + n) % n;
-      cursor_ = static_cast<dram::RowId>(pos);
-      return cursor_;
+      auto pos = static_cast<std::int64_t>(cursor) + jump;
+      const auto span = static_cast<std::int64_t>(rows);
+      if (pos < 0 || pos >= span) pos = ((pos % span) + span) % span;
+      cursor = static_cast<dram::RowId>(pos);
+      row = cursor;
     }
+    // Round-robin with a random skip of 1..3 keeps banks evenly loaded
+    // without a lockstep pattern; bank < banks + 3 before the wrap, so
+    // subtraction replaces the modulo.
+    bank += 1 + static_cast<std::uint32_t>(rng.below(3));
+    while (bank >= banks) bank -= banks;
+
+    AccessRecord& rec = out[i];
+    rec.time_ps = static_cast<std::uint64_t>(now);
+    rec.bank = bank;
+    rec.row = row;
+    rec.write = rng.bernoulli(write_fraction);
+    rec.is_attack = false;
+    rec.source = source;
   }
-  return 0;
+
+  rng_ = rng;
+  now_ps_ = now;
+  cursor_ = cursor;
+  bank_cursor_ = bank;
 }
 
-std::optional<AccessRecord> SyntheticSource::next() {
-  now_ps_ += rng_.exponential(cfg_.mean_interarrival_ps);
-  AccessRecord rec;
-  rec.time_ps = static_cast<std::uint64_t>(now_ps_);
-  rec.row = next_row();
-  // Round-robin with a random skip keeps banks evenly loaded without a
-  // lockstep pattern.
-  bank_cursor_ = (bank_cursor_ + 1 + static_cast<std::uint32_t>(rng_.below(3))) %
-                 cfg_.banks;
-  rec.bank = bank_cursor_;
-  rec.write = rng_.bernoulli(cfg_.write_fraction);
-  rec.is_attack = false;
-  rec.source = cfg_.source_id;
-  return rec;
+std::size_t SyntheticSource::next_batch(AccessRecord* out, std::size_t max) {
+  switch (cfg_.profile) {
+    case AccessProfile::kStreaming:
+      generate<AccessProfile::kStreaming>(out, max);
+      break;
+    case AccessProfile::kStrided:
+      generate<AccessProfile::kStrided>(out, max);
+      break;
+    case AccessProfile::kRandom:
+      generate<AccessProfile::kRandom>(out, max);
+      break;
+    case AccessProfile::kHotspot:
+      generate<AccessProfile::kHotspot>(out, max);
+      break;
+    case AccessProfile::kPointerChase:
+      generate<AccessProfile::kPointerChase>(out, max);
+      break;
+  }
+  return max;
 }
 
 std::vector<SyntheticConfig> mixed_workload(std::uint32_t banks,

@@ -1,5 +1,6 @@
 #include "tvp/util/config.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -67,11 +68,17 @@ std::int64_t KeyValueFile::get_int(const std::string& key,
 double KeyValueFile::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
+  double value = 0.0;
   try {
-    return std::stod(it->second);
+    value = std::stod(it->second);
   } catch (const std::exception&) {
     throw std::runtime_error("config: key '" + key + "' expects a number");
   }
+  // stod accepts "nan" and "inf"; no key has a use for either, and NaN
+  // slips through every `<= 0` range check downstream.
+  if (!std::isfinite(value))
+    throw std::runtime_error("config: key '" + key + "' expects a finite number");
+  return value;
 }
 
 bool KeyValueFile::get_bool(const std::string& key, bool fallback) const {

@@ -28,6 +28,8 @@ class KeyValueFile {
 
   std::string get(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
+  /// Throws std::runtime_error naming the key when the value is not a
+  /// number or not finite (nan, inf).
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -8,6 +8,7 @@
 // subsystem gets an independent stream.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <utility>
@@ -69,8 +70,34 @@ class Rng {
   }
 
   /// Uniform integer in [0, bound). @p bound must be nonzero.
-  /// Uses Lemire's multiply-shift rejection method (unbiased).
-  std::uint64_t below(std::uint64_t bound) noexcept;
+  /// Uses Lemire's multiply-shift rejection method (unbiased). Defined
+  /// here so the generators' per-record loops inline it.
+  std::uint64_t below(std::uint64_t bound) noexcept {
+#ifdef __SIZEOF_INT128__
+    // Lemire's nearly-divisionless unbiased method.
+    using u128 = unsigned __int128;
+    std::uint64_t x = next();
+    u128 m = static_cast<u128>(x) * static_cast<u128>(bound);
+    auto l = static_cast<std::uint64_t>(m);
+    if (l < bound) [[unlikely]] {
+      const std::uint64_t t = -bound % bound;
+      while (l < t) {
+        x = next();
+        m = static_cast<u128>(x) * static_cast<u128>(bound);
+        l = static_cast<std::uint64_t>(m);
+      }
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+#else
+    // Portable fallback: rejection sampling on the top bits.
+    const std::uint64_t limit = max() - max() % bound;
+    std::uint64_t x;
+    do {
+      x = next();
+    } while (x >= limit);
+    return x % bound;
+#endif
+  }
 
   /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
   std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {
@@ -102,7 +129,10 @@ class Rng {
 
   /// Geometric-like helper: exponentially distributed inter-arrival with
   /// mean @p mean (> 0), returned as a double.
-  double exponential(double mean) noexcept;
+  double exponential(double mean) noexcept {
+    // Inverse-CDF; uniform() never returns 1.0 so the log argument is > 0.
+    return -mean * std::log(1.0 - uniform());
+  }
 
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {

@@ -2,7 +2,10 @@
 // models, trace I/O and statistics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 #include <new>
 #include <set>
 #include <sstream>
@@ -323,9 +326,13 @@ TEST(Synthetic, InvalidConfigThrows) {
   SyntheticConfig cfg;
   cfg.banks = 0;
   EXPECT_THROW(SyntheticSource(cfg, util::Rng(1)), std::invalid_argument);
-  cfg = SyntheticConfig{};
-  cfg.mean_interarrival_ps = 0;
-  EXPECT_THROW(SyntheticSource(cfg, util::Rng(1)), std::invalid_argument);
+  for (const double mean : {0.0, -1.0, std::nan(""),
+                            std::numeric_limits<double>::infinity()}) {
+    cfg = SyntheticConfig{};
+    cfg.mean_interarrival_ps = mean;
+    EXPECT_THROW(SyntheticSource(cfg, util::Rng(1)), std::invalid_argument)
+        << mean;
+  }
 }
 
 TEST(MixedWorkload, HitsTargetRate) {
@@ -638,6 +645,378 @@ TEST(TraceIo, ImportClampsUnsortedTimes) {
   const auto records = import_address_trace(ss, mapper, 1.0);
   ASSERT_EQ(records.size(), 2u);
   EXPECT_GE(records[1].time_ps, records[0].time_ps);
+}
+
+// ------------------------------------------------------- batched generation
+//
+// The batch kernels are the only generation bodies, and next() is a
+// one-record call into them; these suites pin that every split of a
+// stream into batches (and any mix of next() and next_batch() calls)
+// yields the same records, that the block merge equals an offline
+// stable sort by (time, registration index), and that the kernels equal
+// straightforward per-record reference models of the generators.
+
+constexpr std::size_t kBatchSizes[] = {1, 7, 255, 256, 257, 4096};
+
+/// Pulls @p source dry with next_batch(@p chunk).
+std::vector<AccessRecord> pull_batched(TraceSource& source, std::size_t chunk,
+                                       std::size_t limit = ~std::size_t{0}) {
+  std::vector<AccessRecord> out;
+  std::vector<AccessRecord> buf(chunk);
+  while (out.size() < limit) {
+    const std::size_t want = std::min(chunk, limit - out.size());
+    const std::size_t n = source.next_batch(buf.data(), want);
+    EXPECT_LE(n, want);
+    out.insert(out.end(), buf.begin(), buf.begin() + n);
+    if (n < want) break;
+  }
+  return out;
+}
+
+/// Pulls @p source dry with next().
+std::vector<AccessRecord> pull_next(TraceSource& source,
+                                    std::size_t limit = ~std::size_t{0}) {
+  std::vector<AccessRecord> out;
+  while (out.size() < limit) {
+    auto r = source.next();
+    if (!r) break;
+    out.push_back(*r);
+  }
+  return out;
+}
+
+/// Time-sorted per-source record lists; bank = source index, row = a
+/// unique serial, so any reordering shows.
+using Streams = std::vector<std::vector<AccessRecord>>;
+
+Streams random_streams(std::size_t sources, std::uint64_t seed,
+                       std::uint64_t time_span) {
+  util::Rng rng(seed);
+  Streams streams(sources);
+  dram::RowId serial = 0;
+  for (std::size_t s = 0; s < sources; ++s) {
+    // Lengths from empty through several blocks, so sources run out at
+    // different times and refills cross block boundaries.
+    const std::size_t len = s % 5 == 3 ? 0 : rng.below(1200);
+    std::uint64_t t = rng.below(time_span);
+    for (std::size_t i = 0; i < len; ++i) {
+      t += rng.below(time_span);  // small spans force many ties
+      streams[s].push_back(rec(t, static_cast<std::uint32_t>(s), serial++));
+    }
+  }
+  return streams;
+}
+
+std::unique_ptr<MergedSource> merge_of(const Streams& streams) {
+  std::vector<std::unique_ptr<TraceSource>> sources;
+  for (const auto& s : streams) sources.push_back(std::make_unique<VectorSource>(s));
+  return std::make_unique<MergedSource>(std::move(sources));
+}
+
+/// The merge's specification: a stable sort of the concatenated streams
+/// by time, so ties keep registration order.
+std::vector<AccessRecord> stable_sorted(const Streams& streams) {
+  std::vector<AccessRecord> all;
+  for (const auto& s : streams) all.insert(all.end(), s.begin(), s.end());
+  std::stable_sort(all.begin(), all.end(),
+                   [](const AccessRecord& a, const AccessRecord& b) {
+                     return a.time_ps < b.time_ps;
+                   });
+  return all;
+}
+
+void expect_merge_matches_spec(const Streams& streams) {
+  const auto expected = stable_sorted(streams);
+  auto by_next = merge_of(streams);
+  ASSERT_EQ(pull_next(*by_next), expected);
+  for (const std::size_t chunk : kBatchSizes) {
+    auto merged = merge_of(streams);
+    EXPECT_EQ(pull_batched(*merged, chunk), expected) << "chunk " << chunk;
+    AccessRecord buf[4];
+    EXPECT_EQ(merged->next_batch(buf, 4), 0u) << "chunk " << chunk;
+    EXPECT_FALSE(merged->next().has_value());
+  }
+}
+
+TEST(BatchedMerge, EqualsStableSortForEverySourceCountAndBatchSize) {
+  for (const std::size_t sources : {1u, 2u, 7u, 9u, 17u}) {
+    for (const std::uint64_t span : {3u, 1000u}) {
+      SCOPED_TRACE(testing::Message() << sources << " sources, span " << span);
+      expect_merge_matches_spec(random_streams(sources, 40 + sources, span));
+    }
+  }
+}
+
+TEST(BatchedMerge, AllTimestampsEqualKeepRegistrationOrder) {
+  Streams streams(9);
+  dram::RowId serial = 0;
+  for (std::size_t s = 0; s < streams.size(); ++s)
+    for (std::size_t i = 0; i < 100 * s; ++i)
+      streams[s].push_back(rec(42, static_cast<std::uint32_t>(s), serial++));
+  expect_merge_matches_spec(streams);
+  // Equal times: the merge is the sources one after another.
+  auto merged = merge_of(streams);
+  const auto out = pull_batched(*merged, 257);
+  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i].row, i);
+}
+
+TEST(BatchedMerge, EmptyAndExhaustedSources) {
+  expect_merge_matches_spec(Streams(5));  // nothing at all
+  Streams streams(7);
+  streams[2] = {rec(5, 2, 0), rec(6, 2, 1)};      // runs out first
+  for (dram::RowId i = 0; i < 600; ++i)            // outlives the others
+    streams[6].push_back(rec(i, 6, 100 + i));
+  streams[4] = {rec(0, 4, 50), rec(600, 4, 51)};  // last record at the end
+  expect_merge_matches_spec(streams);
+}
+
+TEST(BatchedMerge, RefillInsideARunYieldsToTheRunnerUp) {
+  // Source 0 drains a whole block in one run, and its next block starts
+  // past source 1's head: the merge must switch sources at the refill.
+  Streams streams(2);
+  for (dram::RowId i = 0; i < MergedSource::kBlockRecords; ++i)
+    streams[0].push_back(rec(i, 0, i));
+  streams[0].push_back(rec(1000, 0, 900));
+  streams[1] = {rec(500, 1, 901), rec(1000, 1, 902)};
+  expect_merge_matches_spec(streams);
+}
+
+TEST(BatchedMerge, MaxTimestampIsARecordNotExhaustion) {
+  constexpr std::uint64_t kMax = ~0ull;
+  Streams streams(4);
+  streams[0] = {rec(kMax, 0, 0)};
+  streams[1] = {rec(1, 1, 1), rec(kMax, 1, 2), rec(kMax, 1, 3)};
+  streams[3] = {rec(kMax - 1, 3, 4), rec(kMax, 3, 5)};
+  expect_merge_matches_spec(streams);
+  auto merged = merge_of(streams);
+  std::vector<dram::RowId> rows;
+  for (const auto& r : pull_batched(*merged, 256)) rows.push_back(r.row);
+  EXPECT_EQ(rows, (std::vector<dram::RowId>{1, 4, 0, 2, 3, 5}));
+}
+
+TEST(BatchedMerge, InterleavedNextAndBatchCalls) {
+  const auto streams = random_streams(9, 77, 50);
+  const auto expected = stable_sorted(streams);
+  auto merged = merge_of(streams);
+  std::vector<AccessRecord> out;
+  std::vector<AccessRecord> buf(4096);
+  for (std::size_t step = 0;; ++step) {
+    if (step % 3 == 0) {
+      auto r = merged->next();
+      if (!r) break;
+      out.push_back(*r);
+    } else {
+      const std::size_t chunk = kBatchSizes[step % std::size(kBatchSizes)];
+      const std::size_t n = merged->next_batch(buf.data(), chunk);
+      out.insert(out.end(), buf.begin(), buf.begin() + n);
+      if (n < chunk) break;
+    }
+  }
+  EXPECT_EQ(out, expected);
+}
+
+TEST(BatchedLimit, TimeAndCountCutsMatchNextForEveryBatchSize) {
+  const auto streams = random_streams(7, 5, 100);
+  const auto all = stable_sorted(streams);
+  ASSERT_GT(all.size(), 2000u);
+  const std::uint64_t mid = all[all.size() / 2].time_ps;
+  const std::uint64_t kNone = ~0ull;
+  // (record limit, time cut): none, time only (also one past the last
+  // record), count only, and both binding in either order.
+  const std::pair<std::uint64_t, std::uint64_t> cuts[] = {
+      {kNone, kNone}, {kNone, mid}, {kNone, all.back().time_ps + 1},
+      {1000, kNone},  {1000, mid},  {all.size(), mid}};
+  for (const auto& [limit, end] : cuts) {
+    std::vector<AccessRecord> expected;
+    for (const auto& r : all)
+      if (expected.size() < limit && r.time_ps < end) expected.push_back(r);
+      else break;
+    LimitSource by_next(merge_of(streams), limit, end);
+    EXPECT_EQ(pull_next(by_next), expected);
+    for (const std::size_t chunk : kBatchSizes) {
+      LimitSource batched(merge_of(streams), limit, end);
+      EXPECT_EQ(pull_batched(batched, chunk), expected)
+          << "chunk " << chunk << " limit " << limit << " end " << end;
+      EXPECT_FALSE(batched.next().has_value());
+    }
+  }
+}
+
+/// Per-record reference model of SyntheticSource: the generator written
+/// out draw by draw, with plain modulo arithmetic.
+class ReferenceSynthetic {
+ public:
+  ReferenceSynthetic(const SyntheticConfig& cfg, util::Rng rng)
+      : cfg_(cfg), rng_(rng), now_(static_cast<double>(cfg.start_ps)) {
+    if (cfg_.profile == AccessProfile::kHotspot)
+      for (std::uint32_t i = 0; i < cfg_.hotspot_rows; ++i)
+        hot_.push_back(static_cast<dram::RowId>(rng_.below(cfg_.rows_per_bank)));
+    cursor_ = static_cast<dram::RowId>(rng_.below(cfg_.rows_per_bank));
+  }
+
+  AccessRecord next() {
+    const dram::RowId rows = cfg_.rows_per_bank;
+    now_ += rng_.exponential(cfg_.mean_interarrival_ps);
+    AccessRecord r;
+    r.time_ps = static_cast<std::uint64_t>(now_);
+    switch (cfg_.profile) {
+      case AccessProfile::kStreaming:
+        r.row = cursor_ = (cursor_ + 1) % rows;
+        break;
+      case AccessProfile::kStrided:
+        r.row = cursor_ = (cursor_ + cfg_.stride) % rows;
+        break;
+      case AccessProfile::kRandom:
+        r.row = static_cast<dram::RowId>(rng_.below(rows));
+        break;
+      case AccessProfile::kHotspot:
+        if (!hot_.empty() && rng_.bernoulli(cfg_.hotspot_bias))
+          r.row = hot_[rng_.below(hot_.size())];
+        else
+          r.row = static_cast<dram::RowId>(rng_.below(rows));
+        break;
+      case AccessProfile::kPointerChase: {
+        const auto jump =
+            static_cast<std::int64_t>(rng_.below(2ull * cfg_.chase_jump + 1)) -
+            static_cast<std::int64_t>(cfg_.chase_jump);
+        const auto n = static_cast<std::int64_t>(rows);
+        const auto pos = static_cast<std::int64_t>(cursor_) + jump;
+        r.row = cursor_ = static_cast<dram::RowId>(((pos % n) + n) % n);
+        break;
+      }
+    }
+    bank_ = (bank_ + 1 + static_cast<std::uint32_t>(rng_.below(3))) % cfg_.banks;
+    r.bank = bank_;
+    r.write = rng_.bernoulli(cfg_.write_fraction);
+    r.source = cfg_.source_id;
+    return r;
+  }
+
+ private:
+  SyntheticConfig cfg_;
+  util::Rng rng_;
+  double now_;
+  dram::RowId cursor_ = 0;
+  std::uint32_t bank_ = 0;
+  std::vector<dram::RowId> hot_;
+};
+
+TEST(BatchedSynthetic, KernelsMatchReferenceModelForEveryProfile) {
+  for (const auto profile :
+       {AccessProfile::kStreaming, AccessProfile::kStrided,
+        AccessProfile::kRandom, AccessProfile::kHotspot,
+        AccessProfile::kPointerChase}) {
+    // Edge shapes too: one bank (the bank skip wraps several times),
+    // a tiny bank the chase and stride jump across, an empty hot set.
+    for (const std::uint32_t banks : {1u, 3u, 16u}) {
+      for (const dram::RowId rows : {5u, 131072u}) {
+        SyntheticConfig cfg;
+        cfg.profile = profile;
+        cfg.banks = banks;
+        cfg.rows_per_bank = rows;
+        cfg.mean_interarrival_ps = 700;
+        cfg.stride = 9;
+        cfg.chase_jump = 12;
+        cfg.hotspot_rows = rows == 5 ? 0 : 8;
+        cfg.source_id = 3;
+        SCOPED_TRACE(testing::Message() << to_string(profile) << " banks "
+                                        << banks << " rows " << rows);
+        ReferenceSynthetic reference(cfg, util::Rng(rows + banks));
+        std::vector<AccessRecord> expected(3000);
+        for (auto& r : expected) r = reference.next();
+        SyntheticSource by_next(cfg, util::Rng(rows + banks));
+        EXPECT_EQ(pull_next(by_next, expected.size()), expected);
+        for (const std::size_t chunk : kBatchSizes) {
+          SyntheticSource batched(cfg, util::Rng(rows + banks));
+          EXPECT_EQ(pull_batched(batched, chunk, expected.size()), expected)
+              << "chunk " << chunk;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchedAttack, EveryPatternMatchesReferenceModel) {
+  struct Case {
+    AttackPattern pattern;
+    std::uint32_t far_per_near;
+  };
+  for (const Case c : {Case{AttackPattern::kDoubleSided, 16},
+                       Case{AttackPattern::kManySided, 16},
+                       Case{AttackPattern::kFlood, 16},
+                       Case{AttackPattern::kHalfDouble, 1},
+                       Case{AttackPattern::kHalfDouble, 3},
+                       Case{AttackPattern::kFuzzed, 16}}) {
+    AttackConfig cfg;
+    cfg.pattern = c.pattern;
+    cfg.bank = 2;
+    cfg.victims = {100, 200};
+    cfg.rows_per_bank = 1024;
+    cfg.interarrival_ps = 45'000;
+    cfg.start_ps = 1'000;
+    cfg.end_ps = 45'000ull * 2000 + 1'000;  // exactly 1999 records
+    cfg.sides = 3;
+    cfg.far_per_near = c.far_per_near;
+    cfg.schedule = {99, 101, 99, 300, 101};
+    const AttackSource shape(cfg);
+    // Reference: emitted % (far_per_near + 1) == 0 picks the dribble.
+    std::vector<AccessRecord> expected;
+    std::size_t cursor = 0, dribble = 0;
+    const auto& cycle =
+        c.pattern == AttackPattern::kFuzzed ? cfg.schedule : shape.aggressors();
+    for (std::uint64_t k = 1; k < 2000; ++k) {
+      AccessRecord r;
+      r.time_ps = cfg.start_ps + k * cfg.interarrival_ps;
+      r.bank = cfg.bank;
+      r.is_attack = true;
+      r.source = cfg.source_id;
+      if (!shape.dribble_rows().empty() &&
+          k % (std::uint64_t{c.far_per_near} + 1) == 0) {
+        r.row = shape.dribble_rows()[dribble++ % shape.dribble_rows().size()];
+      } else {
+        r.row = cycle[cursor++ % cycle.size()];
+      }
+      expected.push_back(r);
+    }
+    SCOPED_TRACE(to_string(c.pattern));
+    AttackSource by_next(cfg);
+    EXPECT_EQ(pull_next(by_next), expected);
+    for (const std::size_t chunk : kBatchSizes) {
+      AttackSource batched(cfg);
+      EXPECT_EQ(pull_batched(batched, chunk), expected) << "chunk " << chunk;
+      EXPECT_FALSE(batched.next().has_value());
+    }
+  }
+}
+
+TEST(BatchedAttack, HalfDoubleMaxFarPerNearDoesNotDivideByZero) {
+  // far_per_near + 1 used to wrap to 0 in 32 bits (SIGFPE on the first
+  // record). In 64 bits the dribble period is 2^32: no dribble here.
+  AttackConfig cfg;
+  cfg.pattern = AttackPattern::kHalfDouble;
+  cfg.victims = {100};
+  cfg.rows_per_bank = 1024;
+  cfg.far_per_near = 0xFFFFFFFFu;
+  AttackSource src(cfg);
+  for (const auto& r : pull_batched(src, 4096, 10'000))
+    EXPECT_TRUE(r.row == 98 || r.row == 102) << r.row;
+  ASSERT_TRUE(src.next().has_value());
+}
+
+TEST(BatchedAttack, EndNearMaxTimeStopsWithoutWrapping) {
+  // The clock must stop at end_ps, not wrap past UINT64_MAX.
+  AttackConfig cfg;
+  cfg.victims = {100};
+  cfg.rows_per_bank = 1024;
+  cfg.interarrival_ps = 1ull << 62;
+  cfg.start_ps = 0;
+  cfg.end_ps = ~0ull;
+  AttackSource src(cfg);
+  const auto out = pull_batched(src, 7);
+  ASSERT_EQ(out.size(), 3u);  // 2^62, 2^63, 3 * 2^62
+  EXPECT_EQ(out.back().time_ps, 3ull << 62);
+  EXPECT_FALSE(src.next().has_value());
+  EXPECT_FALSE(src.next().has_value());
 }
 
 // -------------------------------------------------------------------- stats

@@ -26,7 +26,7 @@
 //                  hardware concurrency, capped at the bank count)
 //     --smoke      CI-sized run (50000 ACTs) — same shape, seconds not minutes
 //     --out        JSON output path (default BENCH_hotpath.json)
-//     --profile    per-stage breakdown (partition / mitigation /
+//     --profile    per-stage breakdown (partition / technique / replay /
 //                  disturbance ns per ACT), the RNG draw microbench, and
 //                  a partitioned-corpus replay pass proving the lane
 //                  path skips the scatter stage. Adds a "profile"
@@ -318,9 +318,11 @@ int main(int argc, char** argv) try {
       const Result& r = profiled.back();
       const double per = static_cast<double>(trace.size());
       std::printf(
-          "  %-12s partition %6.1f  mitigation %6.1f  disturbance %6.1f\n",
+          "  %-12s partition %6.1f  technique %6.1f  replay %6.1f  "
+          "disturbance %6.1f\n",
           r.technique.c_str(), static_cast<double>(r.stages.partition_ns) / per,
-          static_cast<double>(r.stages.mitigation_ns) / per,
+          static_cast<double>(r.stages.technique_ns) / per,
+          static_cast<double>(r.stages.replay_ns) / per,
           static_cast<double>(r.stages.disturbance_ns) / per);
     }
 
@@ -409,8 +411,10 @@ int main(int argc, char** argv) try {
         json.key("acts_per_sec").value(r.feed.per_second());
         json.key("partition_ns_per_act")
             .value(static_cast<double>(r.stages.partition_ns) / per);
-        json.key("mitigation_ns_per_act")
-            .value(static_cast<double>(r.stages.mitigation_ns) / per);
+        json.key("technique_ns_per_act")
+            .value(static_cast<double>(r.stages.technique_ns) / per);
+        json.key("replay_ns_per_act")
+            .value(static_cast<double>(r.stages.replay_ns) / per);
         json.key("disturbance_ns_per_act")
             .value(static_cast<double>(r.stages.disturbance_ns) / per);
         json.key("scattered_acts").value(r.stages.scattered_acts);

@@ -21,7 +21,6 @@ DisturbanceModel::DisturbanceModel(std::uint32_t banks, RowId rows_per_bank,
         "DisturbanceModel: variation_pct must be below 100");
   const std::size_t cells = static_cast<std::size_t>(banks_) * rows_;
   counts_.assign(cells, 0);
-  flipped_.assign(cells, 0);
   if (params_.variation_pct > 0) {
     // Device-fixed per-row threshold draw (weak/strong cell variation).
     util::Rng rng(params_.variation_seed);
@@ -42,48 +41,31 @@ std::uint32_t DisturbanceModel::threshold_of(BankId bank, RowId row) const {
   return thresholds_[static_cast<std::size_t>(bank) * rows_ + row];
 }
 
-void DisturbanceModel::disturb(BankId bank, RowId row, std::uint64_t amount_q8,
-                               std::uint32_t interval) {
-  auto& c = cell(bank, row);
-  c += amount_q8;
-  peak_q8_ = std::max(peak_q8_, c);
-  const std::size_t idx = static_cast<std::size_t>(bank) * rows_ + row;
-  const std::uint64_t threshold_q8 =
-      static_cast<std::uint64_t>(
-          thresholds_.empty() ? params_.flip_threshold : thresholds_[idx])
-      << 8;
-  if (c >= threshold_q8 && !flipped_[idx]) {
-    flipped_[idx] = 1;
-    flips_.push_back(FlipEvent{bank, row, activations_, interval});
-  }
-}
-
 void DisturbanceModel::on_activate(BankId bank, RowId row, std::uint32_t interval) {
-  ++activations_;
-  // The activated row's own charge is restored.
-  on_refresh_row(bank, row);
-  // Distance-1 neighbours take a full hit.
-  if (row > 0) disturb(bank, row - 1, 256, interval);
-  if (row + 1 < rows_) disturb(bank, row + 1, 256, interval);
-  if (params_.blast_radius >= 2) {
-    const std::uint64_t w = params_.distance2_weight_q8;
-    if (w != 0) {
-      if (row > 1) disturb(bank, row - 2, w, interval);
-      if (row + 2 < rows_) disturb(bank, row + 2, w, interval);
-    }
-  }
+  // A one-activation region through the same kernel and commit as the
+  // batched path, so there is one disturbance body.
+  Lane l = lane(bank);
+  Kernel k = l.kernel();
+  k.activate(row, interval, 0, 0);
+  l.fold(k);
+  Lane* const lanes[1] = {&l};
+  const std::uint64_t prefix[1] = {0};
+  commit_lanes(lanes, 1, prefix);
 }
 
 void DisturbanceModel::on_refresh_row(BankId bank, RowId row) {
-  const std::size_t idx = static_cast<std::size_t>(bank) * rows_ + row;
-  counts_[idx] = 0;
-  flipped_[idx] = 0;
+  counts_[static_cast<std::size_t>(bank) * rows_ + row] = 0;
 }
 
 std::uint64_t DisturbanceModel::disturbance_q8(BankId bank, RowId row) const {
   if (bank >= banks_ || row >= rows_)
     throw std::out_of_range("DisturbanceModel::disturbance_q8");
-  return counts_[static_cast<std::size_t>(bank) * rows_ + row];
+  return counts_[static_cast<std::size_t>(bank) * rows_ + row] & ~kFlipLatch;
+}
+
+void DisturbanceModel::Kernel::push_flip(std::vector<PendingFlip>* out,
+                                         PendingFlip flip) {
+  out->push_back(flip);
 }
 
 DisturbanceModel::Lane DisturbanceModel::lane(BankId bank) {
@@ -112,7 +94,7 @@ void DisturbanceModel::commit_lanes(Lane* const* lanes, std::size_t n_lanes,
     // path's flips_ push_back.
     struct Tagged {
       BankId bank;
-      Lane::PendingFlip flip;
+      PendingFlip flip;
     };
     std::vector<Tagged> all;
     for (std::size_t i = 0; i < n_lanes; ++i)
@@ -139,7 +121,6 @@ void DisturbanceModel::commit_lanes(Lane* const* lanes, std::size_t n_lanes,
 
 void DisturbanceModel::reset() {
   std::fill(counts_.begin(), counts_.end(), 0);
-  std::fill(flipped_.begin(), flipped_.end(), 0);
   flips_.clear();
   activations_ = 0;
   peak_q8_ = 0;

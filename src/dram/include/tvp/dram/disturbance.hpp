@@ -59,12 +59,19 @@ class DisturbanceModel {
   std::uint32_t banks() const noexcept { return banks_; }
   RowId rows_per_bank() const noexcept { return rows_; }
 
-  /// Reports an activation of @p row in @p bank. Disturbs neighbours,
-  /// restores the activated row's own charge.
-  /// @p interval is the current refresh interval (for flip reporting).
+  /// Reports an activation of @p row in @p bank: restores the row's own
+  /// charge (its count drops to 0 and its flip latch re-arms), then adds
+  /// 256 to each row at distance 1 and distance2_weight_q8 to each row
+  /// at distance 2 (blast_radius 2 only), in the order row-1, row+1,
+  /// row-2, row+2, skipping rows outside the bank. A neighbour whose
+  /// count reaches 256 * its threshold while unlatched latches and
+  /// records a FlipEvent with at_activation = activations() after this
+  /// call. @p interval is the current refresh interval (for flip
+  /// reporting).
   void on_activate(BankId bank, RowId row, std::uint32_t interval);
 
-  /// Reports a refresh of @p row (charge restored, no disturbance).
+  /// Reports a refresh of @p row (count 0 and latch re-armed, no
+  /// disturbance).
   void on_refresh_row(BankId bank, RowId row);
 
   /// Accumulated disturbance (in 1/256 units of a distance-1 hit) of a
@@ -78,8 +85,8 @@ class DisturbanceModel {
   const std::vector<FlipEvent>& flips() const noexcept { return flips_; }
   bool any_flip() const noexcept { return !flips_.empty(); }
 
-  /// Highest disturbance (q8) currently accumulated anywhere — how close
-  /// the system came to a flip.
+  /// Highest disturbance (q8) any row has reached so far — how close
+  /// the system came to a flip. Restores do not lower it.
   std::uint64_t peak_disturbance_q8() const noexcept { return peak_q8_; }
 
   /// This row's flip threshold in activations (varies per row when
@@ -89,10 +96,60 @@ class DisturbanceModel {
   /// Clears counters and flip history (new experiment).
   void reset();
 
-  /// A per-bank shard of the model for one parallel region.
+  /// Bit 63 of a row's count word latches "this row has flipped in its
+  /// current charge period"; bits 0..62 hold the q8 disturbance. A
+  /// restore (own ACT, REF, act_n) zeroes the whole word, re-arming the
+  /// latch. Counts cannot reach 2^63: that takes 2^55 activations.
+  static constexpr std::uint64_t kFlipLatch = std::uint64_t{1} << 63;
+
+  /// A flip seen by a Kernel, tagged with its position in the serial
+  /// activation order (see Lane); commit_lanes turns it into a FlipEvent.
+  struct PendingFlip {
+    RowId row = 0;
+    std::uint32_t interval = 0;
+    std::uint32_t serial = 0;
+    std::uint32_t offset = 0;
+  };
+
+  /// The one disturbance body: a by-value view of one bank's rows for a
+  /// hot loop. It holds raw pointers to the bank's slice of the count
+  /// (and threshold) arrays and keeps the running activation count and
+  /// peak as its own members. Held in a local that never escapes, those
+  /// members live in registers: the uint64_t count stores cannot alias
+  /// them, as they could alias fields reached through a model or lane
+  /// pointer. Flips leave through a cold out-of-line push. Obtained from
+  /// Lane::kernel() and handed back through Lane::fold() when the loop
+  /// ends.
+  class Kernel {
+   public:
+    /// Reports an activation of @p row: restores the row's own charge
+    /// and disturbs its neighbours. (@p serial, @p offset) tag any flip
+    /// it causes; see Lane.
+    void activate(RowId row, std::uint32_t interval, std::uint32_t serial,
+                  std::uint32_t offset);
+
+   private:
+    friend class DisturbanceModel;
+    void disturb(RowId row, std::uint64_t amount_q8, std::uint32_t interval,
+                 std::uint32_t serial, std::uint32_t offset);
+    [[gnu::cold]] static void push_flip(std::vector<PendingFlip>* out,
+                                        PendingFlip flip);
+
+    std::uint64_t* counts_ = nullptr;            // this bank's row words
+    const std::uint32_t* thresholds_ = nullptr;  // this bank's; null = uniform
+    std::uint64_t threshold_q8_ = 0;             // uniform threshold
+    std::uint64_t distance2_q8_ = 0;             // 0 unless blast_radius 2
+    RowId rows_ = 0;
+    std::uint64_t activations_ = 0;
+    std::uint64_t peak_q8_ = 0;
+    std::vector<PendingFlip>* pending_ = nullptr;
+  };
+
+  /// A per-bank shard of the model for one region (a refresh segment,
+  /// or a single serial activation).
   ///
-  /// Per-row charge state (counts_/flipped_) is naturally disjoint per
-  /// bank, so a Lane mutates it directly; the *shared* members
+  /// Per-row charge state (the count words) is naturally disjoint per
+  /// bank, so a Lane's kernels mutate it directly; the *shared* members
   /// (activations_, peak_q8_, flips_) are accumulated lane-locally and
   /// folded back by commit_lanes() in a way that is bit-identical to
   /// serial execution. Each activation is tagged with its position in
@@ -110,26 +167,16 @@ class DisturbanceModel {
    public:
     Lane() = default;
 
-    /// Same physical effect as DisturbanceModel::on_activate for the
-    /// lane's bank; see the class comment for the (serial, offset) tag.
-    void on_activate(RowId row, std::uint32_t interval, std::uint32_t serial,
-                     std::uint32_t offset);
+    /// A kernel over the lane's bank whose flips land in this lane. At
+    /// most one live kernel per lane; fold() it back before commit.
+    Kernel kernel() noexcept;
+    /// Adds a kernel's activations and peak to the lane.
+    void fold(const Kernel& kernel) noexcept;
 
-    /// Activations performed through this lane since the last commit.
-    std::uint64_t activations() const noexcept { return activations_; }
     bool has_pending_flips() const noexcept { return !pending_.empty(); }
 
    private:
     friend class DisturbanceModel;
-    struct PendingFlip {
-      RowId row = 0;
-      std::uint32_t interval = 0;
-      std::uint32_t serial = 0;
-      std::uint32_t offset = 0;
-    };
-    void disturb(RowId row, std::uint64_t amount_q8, std::uint32_t interval,
-                 std::uint32_t serial, std::uint32_t offset);
-
     DisturbanceModel* model_ = nullptr;
     BankId bank_ = 0;
     std::uint64_t activations_ = 0;
@@ -152,66 +199,74 @@ class DisturbanceModel {
                     const std::uint64_t* prefix);
 
  private:
-  void disturb(BankId bank, RowId row, std::uint64_t amount_q8,
-               std::uint32_t interval);
-  std::uint64_t& cell(BankId bank, RowId row) {
-    return counts_[static_cast<std::size_t>(bank) * rows_ + row];
-  }
-
   std::uint32_t banks_;
   RowId rows_;
   DisturbanceParams params_;
-  std::vector<std::uint64_t> counts_;  // q8 disturbance per (bank, row)
+  std::vector<std::uint64_t> counts_;  // q8 disturbance | kFlipLatch per (bank, row)
   std::vector<std::uint32_t> thresholds_;  // per (bank, row); empty = uniform
-  std::vector<std::uint8_t> flipped_;  // flip latched until next restore
   std::vector<FlipEvent> flips_;
   std::uint64_t activations_ = 0;
   std::uint64_t peak_q8_ = 0;
 };
 
-// Lane's per-activation path is defined inline: it runs once per demand
-// or mitigation ACT (10^8+ calls per campaign) and the bodies are a few
-// loads and compares — the out-of-line call cost would rival the work.
+// The kernel is defined inline: it runs once per demand or mitigation
+// ACT (10^8+ calls per campaign) and the body is a few loads and
+// compares — an out-of-line call would rival the work.
 
-inline void DisturbanceModel::Lane::disturb(RowId row, std::uint64_t amount_q8,
-                                            std::uint32_t interval,
-                                            std::uint32_t serial,
-                                            std::uint32_t offset) {
-  const std::size_t idx = static_cast<std::size_t>(bank_) * model_->rows_ + row;
-  auto& c = model_->counts_[idx];
-  c += amount_q8;
-  if (c > peak_q8_) peak_q8_ = c;
+inline void DisturbanceModel::Kernel::disturb(RowId row,
+                                              std::uint64_t amount_q8,
+                                              std::uint32_t interval,
+                                              std::uint32_t serial,
+                                              std::uint32_t offset) {
+  const std::uint64_t c = counts_[row] + amount_q8;
+  counts_[row] = c;
+  const std::uint64_t q8 = c & ~kFlipLatch;
+  if (q8 > peak_q8_) peak_q8_ = q8;
   const std::uint64_t threshold_q8 =
-      static_cast<std::uint64_t>(model_->thresholds_.empty()
-                                     ? model_->params_.flip_threshold
-                                     : model_->thresholds_[idx])
-      << 8;
-  if (c >= threshold_q8 && !model_->flipped_[idx]) {
-    model_->flipped_[idx] = 1;
-    pending_.push_back(PendingFlip{row, interval, serial, offset});
+      thresholds_ ? std::uint64_t{thresholds_[row]} << 8 : threshold_q8_;
+  // A latched word compares >= any threshold, so a flipped row takes
+  // this branch again only to find its latch set.
+  if (c >= threshold_q8) [[unlikely]] {
+    if ((c & kFlipLatch) == 0) {
+      counts_[row] = c | kFlipLatch;
+      push_flip(pending_, PendingFlip{row, interval, serial, offset});
+    }
   }
 }
 
-inline void DisturbanceModel::Lane::on_activate(RowId row,
-                                                std::uint32_t interval,
-                                                std::uint32_t serial,
-                                                std::uint32_t offset) {
+inline void DisturbanceModel::Kernel::activate(RowId row,
+                                               std::uint32_t interval,
+                                               std::uint32_t serial,
+                                               std::uint32_t offset) {
   ++activations_;
-  // The activated row's own charge is restored (no shared state touched:
-  // the (bank, row) cell belongs to this lane's bank).
-  const std::size_t idx = static_cast<std::size_t>(bank_) * model_->rows_ + row;
-  model_->counts_[idx] = 0;
-  model_->flipped_[idx] = 0;
-  const RowId rows = model_->rows_;
+  counts_[row] = 0;  // own charge restored; the latch re-arms
   if (row > 0) disturb(row - 1, 256, interval, serial, offset);
-  if (row + 1 < rows) disturb(row + 1, 256, interval, serial, offset);
-  if (model_->params_.blast_radius >= 2) {
-    const std::uint64_t w = model_->params_.distance2_weight_q8;
-    if (w != 0) {
-      if (row > 1) disturb(row - 2, w, interval, serial, offset);
-      if (row + 2 < rows) disturb(row + 2, w, interval, serial, offset);
-    }
+  if (row + 1 < rows_) disturb(row + 1, 256, interval, serial, offset);
+  if (distance2_q8_ != 0) {
+    if (row > 1) disturb(row - 2, distance2_q8_, interval, serial, offset);
+    if (row + 2 < rows_)
+      disturb(row + 2, distance2_q8_, interval, serial, offset);
   }
+}
+
+inline DisturbanceModel::Kernel DisturbanceModel::Lane::kernel() noexcept {
+  const std::size_t base = static_cast<std::size_t>(bank_) * model_->rows_;
+  Kernel k;
+  k.counts_ = model_->counts_.data() + base;
+  k.thresholds_ =
+      model_->thresholds_.empty() ? nullptr : model_->thresholds_.data() + base;
+  k.threshold_q8_ = std::uint64_t{model_->params_.flip_threshold} << 8;
+  k.distance2_q8_ = model_->params_.blast_radius >= 2
+                        ? model_->params_.distance2_weight_q8
+                        : 0;
+  k.rows_ = model_->rows_;
+  k.pending_ = &pending_;
+  return k;
+}
+
+inline void DisturbanceModel::Lane::fold(const Kernel& kernel) noexcept {
+  activations_ += kernel.activations_;
+  if (kernel.peak_q8_ > peak_q8_) peak_q8_ = kernel.peak_q8_;
 }
 
 }  // namespace tvp::dram

@@ -27,6 +27,51 @@ enum class RefreshPolicy {
 
 const char* to_string(RefreshPolicy policy) noexcept;
 
+/// The physical rows one refresh interval restores, without owning
+/// them: a contiguous range [first, first + size) for the arithmetic
+/// policies, or a view of the scheduler's precomputed list for the
+/// table-driven ones. Valid for the scheduler's lifetime.
+class RefreshRows {
+ public:
+  class iterator {
+   public:
+    RowId operator*() const noexcept { return list_ ? list_[i_] : i_; }
+    iterator& operator++() noexcept {
+      ++i_;
+      return *this;
+    }
+    bool operator!=(const iterator& other) const noexcept {
+      return i_ != other.i_;
+    }
+
+   private:
+    friend class RefreshRows;
+    iterator(const RowId* list, RowId i) : list_(list), i_(i) {}
+    const RowId* list_;  // null: i_ is the row itself
+    RowId i_;            // otherwise: index into list_
+  };
+
+  /// Contiguous rows [first, first + count).
+  static RefreshRows range(RowId first, RowId count) noexcept {
+    return RefreshRows(nullptr, first, count);
+  }
+  /// The @p count rows at @p list.
+  static RefreshRows list(const RowId* list, RowId count) noexcept {
+    return RefreshRows(list, 0, count);
+  }
+
+  std::size_t size() const noexcept { return count_; }
+  iterator begin() const noexcept { return iterator(list_, first_); }
+  iterator end() const noexcept { return iterator(list_, first_ + count_); }
+
+ private:
+  RefreshRows(const RowId* list, RowId first, RowId count)
+      : list_(list), first_(first), count_(count) {}
+  const RowId* list_;
+  RowId first_;
+  RowId count_;
+};
+
 /// Deterministic per-device refresh order. The order is fixed at
 /// construction (real devices hard-wire it); every row is refreshed
 /// exactly once per refresh window under every policy.
@@ -47,9 +92,10 @@ class RefreshScheduler {
   /// RowsPI: rows refreshed per interval.
   RowId rows_per_interval() const noexcept { return rows_ / intervals_; }
 
-  /// Physical rows refreshed in interval @p interval (mod RefInt).
-  /// The returned view stays valid for the scheduler's lifetime.
-  std::vector<RowId> rows_in_interval(std::uint32_t interval) const;
+  /// Physical rows refreshed in interval @p interval (mod RefInt), in
+  /// refresh order. Allocation-free; the view stays valid for the
+  /// scheduler's lifetime.
+  RefreshRows rows_in_interval(std::uint32_t interval) const;
 
   /// Interval (within the window) in which physical row @p row is
   /// refreshed — the ground truth the device implements.

@@ -33,8 +33,12 @@ class RowRemapper {
   RowId rows_per_bank() const noexcept { return rows_; }
   std::size_t swap_count() const noexcept { return to_physical_.size() / 2; }
 
-  /// Physical row backing logical row @p logical.
-  RowId to_physical(RowId logical) const noexcept;
+  /// Physical row backing logical row @p logical. Inline because it
+  /// runs on every demand ACT; the identity map (the common case) costs
+  /// one emptiness test instead of a hash lookup.
+  RowId to_physical(RowId logical) const noexcept {
+    return to_physical_.empty() ? logical : lookup(logical);
+  }
   /// Logical address of physical row @p physical.
   RowId to_logical(RowId physical) const noexcept;
 
@@ -47,6 +51,7 @@ class RowRemapper {
 
  private:
   void add_swap(RowId a, RowId b);
+  RowId lookup(RowId logical) const noexcept;
 
   RowId rows_;
   std::unordered_map<RowId, RowId> to_physical_;  // sparse; both directions

@@ -72,26 +72,21 @@ RefreshScheduler::RefreshScheduler(RowId rows_per_bank,
   }
 }
 
-std::vector<RowId> RefreshScheduler::rows_in_interval(std::uint32_t interval) const {
+RefreshRows RefreshScheduler::rows_in_interval(std::uint32_t interval) const {
   interval %= intervals_;
   const RowId rpi = rows_per_interval();
   switch (policy_) {
-    case RefreshPolicy::kNeighborSequential: {
-      std::vector<RowId> rows(rpi);
-      std::iota(rows.begin(), rows.end(), interval * rpi);
-      return rows;
-    }
-    case RefreshPolicy::kCounterMask: {
-      const std::uint32_t slot = (interval ^ mask_) % intervals_;
-      std::vector<RowId> rows(rpi);
-      std::iota(rows.begin(), rows.end(), slot * rpi);
-      return rows;
-    }
+    case RefreshPolicy::kNeighborSequential:
+      return RefreshRows::range(interval * rpi, rpi);
+    case RefreshPolicy::kCounterMask:
+      return RefreshRows::range(((interval ^ mask_) % intervals_) * rpi, rpi);
     case RefreshPolicy::kNeighborRemapped:
-    case RefreshPolicy::kRandom:
-      return interval_rows_[interval];
+    case RefreshPolicy::kRandom: {
+      const std::vector<RowId>& rows = interval_rows_[interval];
+      return RefreshRows::list(rows.data(), static_cast<RowId>(rows.size()));
+    }
   }
-  return {};
+  return RefreshRows::range(0, 0);
 }
 
 std::uint32_t RefreshScheduler::interval_of_row(RowId row) const noexcept {

@@ -28,7 +28,7 @@ void RowRemapper::add_swap(RowId a, RowId b) {
   to_logical_[a] = b;
 }
 
-RowId RowRemapper::to_physical(RowId logical) const noexcept {
+RowId RowRemapper::lookup(RowId logical) const noexcept {
   const auto it = to_physical_.find(logical);
   return it == to_physical_.end() ? logical : it->second;
 }

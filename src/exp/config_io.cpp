@@ -1,5 +1,6 @@
 #include "tvp/exp/config_io.hpp"
 
+#include <cmath>
 #include <limits>
 #include <set>
 #include <stdexcept>
@@ -9,6 +10,8 @@
 namespace tvp::exp {
 
 namespace {
+
+constexpr std::uint32_t kU32Max = std::numeric_limits<std::uint32_t>::max();
 
 const std::set<std::string>& known_keys() {
   static const std::set<std::string> keys = {
@@ -75,17 +78,47 @@ const char* pattern_name(trace::AttackPattern pattern) {
   return "double";
 }
 
-// Reads an integer key that lands in a 32-bit field. get_int hands back
-// -1 as -1, which a bare narrowing cast would turn into 4294967295.
-std::uint32_t get_u32(const util::KeyValueFile& file, const std::string& key,
-                      std::uint32_t fallback, std::uint32_t lo,
-                      std::uint32_t hi) {
-  const std::int64_t value = file.get_int(key, fallback);
-  if (value < lo || value > hi)
+// Reads an integer key into an unsigned field, range-checked. get_int
+// hands back -1 as -1, which a bare narrowing cast would turn into
+// 4294967295 (or 2^64 - 1 for a size_t field).
+std::uint64_t get_u64(const util::KeyValueFile& file, const std::string& key,
+                      std::uint64_t fallback, std::uint64_t lo,
+                      std::uint64_t hi) {
+  if (!file.has(key)) return fallback;
+  const std::int64_t value = file.get_int(key, 0);
+  if (value < 0 || static_cast<std::uint64_t>(value) < lo ||
+      static_cast<std::uint64_t>(value) > hi)
     throw std::invalid_argument("config: key '" + key + "' must be in [" +
                                 std::to_string(lo) + ", " + std::to_string(hi) +
                                 "]");
-  return static_cast<std::uint32_t>(value);
+  return static_cast<std::uint64_t>(value);
+}
+
+std::uint32_t get_u32(const util::KeyValueFile& file, const std::string& key,
+                      std::uint32_t fallback, std::uint32_t lo,
+                      std::uint32_t hi = kU32Max) {
+  return static_cast<std::uint32_t>(get_u64(file, key, fallback, lo, hi));
+}
+
+// The shortest "%g"-style text that the parser's @p decode maps back to
+// @p target: "%g" when it already does (keeps existing config text
+// stable), otherwise the nearest double at 17 digits that decodes to it.
+template <class Decode>
+std::string exact_double_text(double guess, std::uint64_t target,
+                              Decode decode) {
+  const std::string short_text = util::strfmt("%g", guess);
+  if (decode(std::stod(short_text)) == target) return short_text;
+  double up = guess;
+  double down = guess;
+  for (int i = 0; i < 64 && decode(guess) != target; ++i) {
+    up = std::nextafter(up, std::numeric_limits<double>::infinity());
+    down = std::nextafter(down, -std::numeric_limits<double>::infinity());
+    if (decode(up) == target)
+      guess = up;
+    else if (decode(down) == target)
+      guess = down;
+  }
+  return util::strfmt("%.17g", guess);
 }
 
 }  // namespace
@@ -96,10 +129,10 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
       throw std::invalid_argument("config: unknown key '" + key + "'");
   }
 
-  config.geometry.banks_per_rank = static_cast<std::uint32_t>(
-      file.get_int("geometry.banks", config.geometry.banks_per_rank));
-  config.geometry.rows_per_bank = static_cast<std::uint32_t>(
-      file.get_int("geometry.rows_per_bank", config.geometry.rows_per_bank));
+  config.geometry.banks_per_rank =
+      get_u32(file, "geometry.banks", config.geometry.banks_per_rank, 1);
+  config.geometry.rows_per_bank =
+      get_u32(file, "geometry.rows_per_bank", config.geometry.rows_per_bank, 1);
 
   const std::string preset = file.get("timing.preset", "ddr4");
   if (preset == "ddr4")
@@ -111,29 +144,30 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
   else
     throw std::invalid_argument("config: unknown timing.preset '" + preset + "'");
 
-  config.windows =
-      static_cast<std::uint32_t>(file.get_int("windows", config.windows));
+  config.windows = get_u32(file, "windows", config.windows, 1);
   config.seed = static_cast<std::uint64_t>(file.get_int("seed",
                                                         static_cast<std::int64_t>(config.seed)));
   if (file.has("refresh.policy"))
     config.refresh_policy = parse_policy(file.get("refresh.policy", ""));
   config.remap_rows = file.get_bool("remap.rows", config.remap_rows);
+  // Each swap attempt draws two rows; more attempts than rows cannot
+  // add a swap the first rows_per_bank attempts could not.
   config.remap_swaps = static_cast<std::size_t>(
-      file.get_int("remap.swaps", static_cast<std::int64_t>(config.remap_swaps)));
-  config.act_n_radius = static_cast<std::uint32_t>(
-      file.get_int("act_n.radius", config.act_n_radius));
+      get_u64(file, "remap.swaps", config.remap_swaps, 0,
+              config.geometry.rows_per_bank));
+  // act_n reaches as far as the disturbance does (blast_radius 1 or 2).
+  config.act_n_radius = get_u32(file, "act_n.radius", config.act_n_radius, 1, 2);
 
-  config.disturbance.flip_threshold = static_cast<std::uint32_t>(
-      file.get_int("disturbance.flip_threshold", config.disturbance.flip_threshold));
+  config.disturbance.flip_threshold = get_u32(
+      file, "disturbance.flip_threshold", config.disturbance.flip_threshold, 1);
   config.technique.flip_threshold = config.disturbance.flip_threshold;
-  config.disturbance.blast_radius = static_cast<std::uint32_t>(
-      file.get_int("disturbance.blast_radius", config.disturbance.blast_radius));
-  config.disturbance.distance2_weight_q8 = static_cast<std::uint32_t>(
-      file.get_int("disturbance.distance2_weight_q8",
-                   config.disturbance.distance2_weight_q8));
-  config.disturbance.variation_pct = static_cast<std::uint32_t>(
-      file.get_int("disturbance.variation_pct",
-                   config.disturbance.variation_pct));
+  config.disturbance.blast_radius = get_u32(
+      file, "disturbance.blast_radius", config.disturbance.blast_radius, 1, 2);
+  config.disturbance.distance2_weight_q8 =
+      get_u32(file, "disturbance.distance2_weight_q8",
+              config.disturbance.distance2_weight_q8, 0);
+  config.disturbance.variation_pct = get_u32(
+      file, "disturbance.variation_pct", config.disturbance.variation_pct, 0, 99);
 
   config.workload.benign_acts_per_interval_per_bank = file.get_double(
       "workload.benign_rate", config.workload.benign_acts_per_interval_per_bank);
@@ -148,44 +182,44 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
   auto& fuzz = config.workload.fuzz;
   fuzz.seed = static_cast<std::uint64_t>(
       file.get_int("fuzz.seed", static_cast<std::int64_t>(fuzz.seed)));
-  fuzz.patterns =
-      static_cast<std::uint32_t>(file.get_int("fuzz.patterns", fuzz.patterns));
+  fuzz.patterns = get_u32(file, "fuzz.patterns", fuzz.patterns, 1);
   fuzz.acts_per_interval = file.get_double("fuzz.rate", fuzz.acts_per_interval);
-  fuzz.params.pairs_min = static_cast<std::uint32_t>(
-      file.get_int("fuzz.pairs_min", fuzz.params.pairs_min));
-  fuzz.params.pairs_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.pairs_max", fuzz.params.pairs_max));
-  fuzz.params.period_exp_min = static_cast<std::uint32_t>(
-      file.get_int("fuzz.period_exp_min", fuzz.params.period_exp_min));
-  fuzz.params.period_exp_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.period_exp_max", fuzz.params.period_exp_max));
-  fuzz.params.amplitude_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.amplitude_max", fuzz.params.amplitude_max));
-  fuzz.params.decoys_max = static_cast<std::uint32_t>(
-      file.get_int("fuzz.decoys_max", fuzz.params.decoys_max));
+  fuzz.params.pairs_min =
+      get_u32(file, "fuzz.pairs_min", fuzz.params.pairs_min, 1);
+  fuzz.params.pairs_max =
+      get_u32(file, "fuzz.pairs_max", fuzz.params.pairs_max, 1);
+  fuzz.params.period_exp_min =
+      get_u32(file, "fuzz.period_exp_min", fuzz.params.period_exp_min, 0, 16);
+  fuzz.params.period_exp_max =
+      get_u32(file, "fuzz.period_exp_max", fuzz.params.period_exp_max, 0, 16);
+  fuzz.params.amplitude_max =
+      get_u32(file, "fuzz.amplitude_max", fuzz.params.amplitude_max, 1);
+  fuzz.params.decoys_max =
+      get_u32(file, "fuzz.decoys_max", fuzz.params.decoys_max, 1);
   fuzz.params.half_double =
       file.get_bool("fuzz.half_double", fuzz.params.half_double);
 
-  config.technique.pbase_exp = static_cast<unsigned>(
-      file.get_int("technique.pbase_exp", config.technique.pbase_exp));
-  config.technique.params.history_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.history_entries",
-                   config.technique.params.history_entries));
-  config.technique.params.counter_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.counter_entries",
-                   config.technique.params.counter_entries));
-  config.technique.params.twice_entries = static_cast<std::uint32_t>(
-      file.get_int("technique.twice_entries",
-                   config.technique.params.twice_entries));
+  config.technique.pbase_exp =
+      get_u32(file, "technique.pbase_exp", config.technique.pbase_exp, 1, 32);
+  // The history table's 8-bit link encoding reserves 0xFF.
+  config.technique.params.history_entries =
+      get_u32(file, "technique.history_entries",
+              config.technique.params.history_entries, 1, 255);
+  config.technique.params.counter_entries =
+      get_u32(file, "technique.counter_entries",
+              config.technique.params.counter_entries, 1);
+  config.technique.params.twice_entries =
+      get_u32(file, "technique.twice_entries",
+              config.technique.params.twice_entries, 1);
   config.technique.para_p =
       file.get_double("technique.para_p", config.technique.para_p);
   config.technique.mrloc_p_min =
       file.get_double("technique.mrloc_p_min", config.technique.mrloc_p_min);
   config.technique.mrloc_p_max =
       file.get_double("technique.mrloc_p_max", config.technique.mrloc_p_max);
-  config.technique.capromi_cooldown = static_cast<std::uint32_t>(
-      file.get_int("technique.capromi_cooldown",
-                   config.technique.capromi_cooldown));
+  config.technique.capromi_cooldown =
+      get_u32(file, "technique.capromi_cooldown",
+              config.technique.capromi_cooldown, 0);
 
   // Attacks: attack.count = N, then attack.<i>.{pattern,bank,victims,
   // rate,start_frac,sides,far_per_near}. `victims` is either an explicit
@@ -198,13 +232,13 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
     const std::string prefix = "attack." + std::to_string(i) + ".";
     trace::AttackConfig attack;
     attack.rows_per_bank = config.geometry.rows_per_bank;
-    attack.bank = static_cast<dram::BankId>(file.get_int(prefix + "bank", 0));
+    attack.bank = get_u32(file, prefix + "bank", 0, 0,
+                          config.geometry.total_banks() - 1);
     attack.pattern = parse_pattern(file.get(prefix + "pattern", "double"));
     attack.sides = get_u32(file, prefix + "sides", attack.sides, 1,
                            config.geometry.rows_per_bank);
     attack.far_per_near =
-        get_u32(file, prefix + "far_per_near", attack.far_per_near, 1,
-                std::numeric_limits<std::uint32_t>::max());
+        get_u32(file, prefix + "far_per_near", attack.far_per_near, 1);
 
     const std::string victims = file.get(prefix + "victims", "~1");
     if (!victims.empty() && victims[0] == '~') {
@@ -322,9 +356,29 @@ std::string to_config_text(const SimConfig& config) {
       victims += std::to_string(v);
     }
     file.set(prefix + "victims", victims);
+    // Written so that apply_config's conversions land on the exact
+    // interarrival and start time again.
+    const double t_refi = static_cast<double>(config.timing.t_refi_ps());
     file.set(prefix + "rate",
-             util::strfmt("%g", static_cast<double>(config.timing.t_refi_ps()) /
-                                    static_cast<double>(attack.interarrival_ps)));
+             exact_double_text(
+                 t_refi / static_cast<double>(attack.interarrival_ps),
+                 attack.interarrival_ps, [&](double rate) {
+                   const double interarrival = t_refi / rate;
+                   return interarrival >= 1.0 && interarrival < 0x1p64
+                              ? static_cast<std::uint64_t>(interarrival)
+                              : 0;
+                 }));
+    const double t_refw = static_cast<double>(config.timing.t_refw_ps);
+    file.set(prefix + "start_frac",
+             exact_double_text(static_cast<double>(attack.start_ps) / t_refw,
+                               attack.start_ps, [&](double frac) {
+                                 return frac >= 0.0 && frac < 1.0
+                                            ? static_cast<std::uint64_t>(
+                                                  frac * t_refw)
+                                            : ~std::uint64_t{0};
+                               }));
+    file.set(prefix + "sides", std::to_string(attack.sides));
+    file.set(prefix + "far_per_near", std::to_string(attack.far_per_near));
   }
   return file.to_text();
 }

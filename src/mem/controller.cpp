@@ -85,7 +85,7 @@ void MemoryController::refresh_interval_tick() {
   ctx.window_start = interval == 0;
 
   // All banks refresh the same row slot in lockstep (all-bank REF).
-  const std::vector<dram::RowId> rows = scheduler_.rows_in_interval(interval);
+  const dram::RefreshRows rows = scheduler_.rows_in_interval(interval);
 
   const std::uint32_t banks = engine_.banks();
   for (dram::BankId b = 0; b < banks; ++b) {
@@ -281,10 +281,11 @@ void MemoryController::reset_shards() {
   const std::uint32_t banks = engine_.banks();
   for (std::uint32_t b = 0; b < banks; ++b) {
     BankShard& s = shards_[b];
-    s.totals.clear();
+    s.extras.clear();
     s.reads = s.writes = s.delayed = s.triggers = s.extra = s.fp_extra = 0;
     s.first_trigger_serial = kNoTrigger;
     s.bank_ready_ps = bank_ready_ps_[b];
+    s.technique_ns = s.replay_ns = 0;
   }
 }
 
@@ -365,7 +366,6 @@ void MemoryController::run_segment(std::size_t valid,
                                    const MitigationContext& ctx) {
   const std::uint32_t banks = engine_.banks();
   const bool timed = cfg_.profile;
-  const std::uint64_t t0 = timed ? monotonic_ns() : 0;
 
   if (pool_) {
     pool_->run(banks, [&](std::size_t b) {
@@ -375,7 +375,6 @@ void MemoryController::run_segment(std::size_t valid,
     for (std::uint32_t b = 0; b < banks; ++b) run_bank_shard(b, ctx);
   }
   const std::uint64_t t1 = timed ? monotonic_ns() : 0;
-  if (timed) profile_.mitigation_ns += t1 - t0;
 
   // Serial reduce: fold shard outputs into the shared counters in bank
   // order. Every sum is independent of which thread produced it, and
@@ -402,20 +401,23 @@ void MemoryController::run_segment(std::size_t valid,
     bank_ready_ps_[b] = s.bank_ready_ps;
     first_serial = std::min(first_serial, s.first_trigger_serial);
     any_flips = any_flips || s.lane.has_pending_flips();
+    if (timed) {
+      profile_.technique_ns += s.technique_ns;
+      profile_.replay_ns += s.replay_ns;
+    }
   }
   if (stats_.first_extra_act_at == 0 && first_serial != kNoTrigger)
     stats_.first_extra_act_at = demand_before + first_serial + 1;
 
   const std::uint64_t* prefix = nullptr;
   if (any_flips) {
-    // Per-serial activation totals scattered from the shards, then
-    // prefix-summed: prefix[j] = activations performed by records < j.
-    act_prefix_.assign(valid, 0);
-    for (std::uint32_t b = 0; b < banks; ++b) {
-      const BankShard& s = shards_[b];
-      for (std::size_t k = 0; k < s.lane_count; ++k)
-        act_prefix_[s.lane_serials[k] - s.serial_base] = s.totals[k];
-    }
+    // Per-serial activation totals (one each, plus the sparse extras
+    // from the shards), then prefix-summed: prefix[j] = activations
+    // performed by records < j.
+    act_prefix_.assign(valid, 1);
+    for (std::uint32_t b = 0; b < banks; ++b)
+      for (const auto& [serial, acts] : shards_[b].extras)
+        act_prefix_[serial] += acts;
     std::uint64_t running = 0;
     for (std::size_t j = 0; j < valid; ++j) {
       const std::uint64_t t = act_prefix_[j];
@@ -434,36 +436,50 @@ void MemoryController::run_bank_shard(dram::BankId bank,
   const std::size_t n = s.lane_count;
   if (n == 0) return;
 
-  const std::uint32_t interval = ctx.interval_in_window;
+  const bool timed = cfg_.profile;
+  const std::uint64_t t0 = timed ? monotonic_ns() : 0;
   const ActionBuffer& actions = engine_.on_activates(bank, s.lane_rows, n, ctx);
+  const std::uint64_t t1 = timed ? monotonic_ns() : 0;
   const MitigationAction* act = actions.begin();
   const MitigationAction* const act_end = actions.end();
 
+  // Everything the per-ACT loop reads or accumulates lives in locals
+  // (the disturbance kernel included): the kernel's count stores are
+  // uint64_t and would otherwise force every shard counter and lane
+  // pointer to be reloaded and re-stored through memory per ACT.
+  const dram::RowId* const lane_rows = s.lane_rows;
+  const std::uint64_t* const lane_times = s.lane_times;
+  const std::uint32_t* const lane_serials = s.lane_serials;
+  const std::uint8_t* const lane_writes = s.lane_writes;
+  const std::uint32_t serial_base = s.serial_base;
+  const std::uint32_t interval = ctx.interval_in_window;
   const bool enforce = cfg_.enforce_timing;
   const std::uint64_t t_rc = timing_.t_rc_ps;
   const auto rows = cfg_.geometry.rows_per_bank;
   const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
-  const std::uint32_t serial_base = s.serial_base;
+  dram::DisturbanceModel::Kernel kernel = s.lane.kernel();
   std::uint64_t ready = s.bank_ready_ps;
+  std::uint64_t delayed = 0;
+  std::uint64_t writes = 0;
+  std::uint64_t triggers = 0;
+  std::uint64_t extra = 0;
+  std::uint64_t fp_extra = 0;
+  std::uint64_t first_trigger = s.first_trigger_serial;
 
   for (std::size_t k = 0; k < n; ++k) {
-    const std::uint32_t serial = s.lane_serials[k] - serial_base;
+    const std::uint32_t serial = lane_serials[k] - serial_base;
     if (enforce) {
-      const std::uint64_t t = s.lane_times[k];
-      if (ready > t) ++s.delayed;
+      const std::uint64_t t = lane_times[k];
+      if (ready > t) ++delayed;
       ready = std::max(ready, t) + t_rc;
     }
-    if (s.lane_writes[k])
-      ++s.writes;
-    else
-      ++s.reads;
-    s.lane.on_activate(remapper_.to_physical(s.lane_rows[k]), interval, serial,
-                       0);
+    writes += lane_writes[k] != 0;
+    kernel.activate(remapper_.to_physical(lane_rows[k]), interval, serial, 0);
 
     std::uint32_t offset = 0;  // activations this record has performed - 1
     for (; act != act_end && act->origin == k; ++act) {
-      ++s.triggers;
-      if (s.first_trigger_serial == kNoTrigger) s.first_trigger_serial = serial;
+      ++triggers;
+      if (first_trigger == kNoTrigger) first_trigger = serial;
       std::uint32_t cost = 0;
       switch (act->kind) {
         case MitigationAction::Kind::kActNeighbors: {
@@ -475,26 +491,39 @@ void MemoryController::run_bank_shard(dram::BankId bank,
             if (neighbor < 0 || neighbor >= static_cast<std::int64_t>(rows))
               continue;
             if (enforce) ready += t_rc;
-            s.lane.on_activate(static_cast<dram::RowId>(neighbor), interval,
-                               serial, ++offset);
+            kernel.activate(static_cast<dram::RowId>(neighbor), interval,
+                            serial, ++offset);
             ++cost;
           }
           break;
         }
         case MitigationAction::Kind::kActRow: {
           if (enforce) ready += t_rc;
-          s.lane.on_activate(remapper_.to_physical(act->row), interval, serial,
-                             ++offset);
+          kernel.activate(remapper_.to_physical(act->row), interval, serial,
+                          ++offset);
           cost = 1;
           break;
         }
       }
-      s.extra += cost;
-      if (oracle_ && !oracle_(bank, act->suspect)) s.fp_extra += cost;
+      extra += cost;
+      if (oracle_ && !oracle_(bank, act->suspect)) fp_extra += cost;
     }
-    s.totals.push_back(1 + offset);
+    if (offset != 0) s.extras.emplace_back(serial, offset);
   }
+
+  s.lane.fold(kernel);
   s.bank_ready_ps = ready;
+  s.delayed = delayed;
+  s.writes = writes;
+  s.reads = n - writes;
+  s.triggers = triggers;
+  s.extra = extra;
+  s.fp_extra = fp_extra;
+  s.first_trigger_serial = first_trigger;
+  if (timed) {
+    s.technique_ns += t1 - t0;
+    s.replay_ns += monotonic_ns() - t1;
+  }
 }
 
 void MemoryController::advance_to(std::uint64_t time_ps) {

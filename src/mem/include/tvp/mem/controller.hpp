@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "tvp/dram/disturbance.hpp"
@@ -88,10 +89,12 @@ struct ControllerConfig {
 /// (bench/perf_hotpath --profile). The *_ns timers accumulate only when
 /// ControllerConfig::profile is set; the act counters are always live —
 /// they are how replay tests prove a partition-indexed corpus actually
-/// skipped the re-partition pass.
+/// skipped the re-partition pass. technique_ns and replay_ns are summed
+/// over bank shards, so with bank_jobs > 1 they are CPU time, not wall.
 struct StageProfile {
   std::uint64_t partition_ns = 0;    ///< per-bank lane scatter (+ validation)
-  std::uint64_t mitigation_ns = 0;   ///< bank-shard dispatch (techniques + lane bookkeeping)
+  std::uint64_t technique_ns = 0;    ///< technique kernels (engine on_activates)
+  std::uint64_t replay_ns = 0;       ///< per-ACT replay: timing, remap, disturbance, extras
   std::uint64_t disturbance_ns = 0;  ///< serial reduce + flip re-sequencing/commit
   std::uint64_t scattered_acts = 0;    ///< ACTs partitioned by the controller
   std::uint64_t partitioned_acts = 0;  ///< ACTs fed from pre-built corpus lanes
@@ -176,7 +179,9 @@ class MemoryController {
     std::vector<dram::RowId> rows;        ///< logical row per record
     std::vector<std::uint64_t> times;     ///< time_ps per record
     std::vector<std::uint8_t> write_col;  ///< write flag per record
-    std::vector<std::uint32_t> totals;    ///< activations per record (1+extras)
+    /// Records that issued mitigation activations: (segment serial,
+    /// extra activation count). Every other record performs exactly one.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> extras;
     // The lane view actually consumed (owned columns or borrowed corpus
     // partition columns).
     const dram::RowId* lane_rows = nullptr;
@@ -195,6 +200,8 @@ class MemoryController {
     std::uint64_t fp_extra = 0;
     std::uint64_t first_trigger_serial = 0;  ///< UINT64_MAX = none
     std::uint64_t bank_ready_ps = 0;
+    std::uint64_t technique_ns = 0;  ///< profiling only
+    std::uint64_t replay_ns = 0;     ///< profiling only
   };
 
   void process_refresh_boundaries(std::uint64_t up_to_ps);

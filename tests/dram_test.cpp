@@ -2,7 +2,9 @@
 // remapping, refresh scheduling, and the disturbance (bit-flip) model.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "tvp/dram/disturbance.hpp"
@@ -11,6 +13,7 @@
 #include "tvp/dram/refresh.hpp"
 #include "tvp/dram/remap.hpp"
 #include "tvp/dram/timing.hpp"
+#include "tvp/util/rng.hpp"
 
 namespace tvp::dram {
 namespace {
@@ -493,6 +496,256 @@ TEST(Disturbance, InvalidConfigThrows) {
   EXPECT_THROW(DisturbanceModel(1, 16, params), std::invalid_argument);
   DisturbanceModel ok(1, 16, {});
   EXPECT_THROW(ok.disturbance_q8(0, 99), std::out_of_range);
+}
+
+// ---------------------------------------------- disturbance: scalar oracle
+//
+// An independent reference for the disturbance process, written from the
+// contract documented on DisturbanceModel::on_activate / on_refresh_row /
+// peak_disturbance_q8, not from the implementation: a plain map of
+// (bank, row) -> {q8 count, latch}. Only the device-fixed threshold draw
+// is taken from the model under test (it is an input, not the process).
+
+class ReferenceDisturbance {
+ public:
+  explicit ReferenceDisturbance(const DisturbanceModel& device)
+      : device_(device) {}
+
+  void activate(BankId bank, RowId row, std::uint32_t interval) {
+    ++activations;
+    cells_[{bank, row}] = Cell{};
+    const RowId rows = device_.rows_per_bank();
+    const auto& p = device_.params();
+    const std::int64_t r = row;
+    const std::pair<std::int64_t, std::uint64_t> hits[] = {
+        {r - 1, 256}, {r + 1, 256}, {r - 2, p.distance2_weight_q8},
+        {r + 2, p.distance2_weight_q8}};
+    for (std::size_t i = 0; i < (p.blast_radius >= 2 ? 4u : 2u); ++i) {
+      const auto [victim, amount] = hits[i];
+      if (victim < 0 || victim >= static_cast<std::int64_t>(rows)) continue;
+      const auto v = static_cast<RowId>(victim);
+      Cell& c = cells_[{bank, v}];
+      c.q8 += amount;
+      peak = std::max(peak, c.q8);
+      if (!c.latched &&
+          c.q8 >= std::uint64_t{device_.threshold_of(bank, v)} * 256) {
+        c.latched = true;
+        flips.push_back(FlipEvent{bank, v, activations, interval});
+      }
+    }
+  }
+
+  void refresh(BankId bank, RowId row) { cells_[{bank, row}] = Cell{}; }
+
+  std::uint64_t q8(BankId bank, RowId row) const {
+    const auto it = cells_.find({bank, row});
+    return it == cells_.end() ? 0 : it->second.q8;
+  }
+
+  std::uint64_t activations = 0;
+  std::uint64_t peak = 0;
+  std::vector<FlipEvent> flips;
+
+ private:
+  struct Cell {
+    std::uint64_t q8 = 0;
+    bool latched = false;
+  };
+  const DisturbanceModel& device_;
+  std::map<std::pair<BankId, RowId>, Cell> cells_;
+};
+
+/// One demand record of a random stream: a demand ACT plus the extra
+/// (mitigation-style) activations it triggers in the same bank.
+struct OracleRecord {
+  BankId bank = 0;
+  RowId row = 0;
+  std::vector<RowId> extras;
+};
+
+/// A region of records (one refresh segment) and the rows refreshed in
+/// every bank after it.
+struct OracleRegion {
+  std::uint32_t interval = 0;
+  std::vector<OracleRecord> records;
+  std::vector<RowId> refreshed;
+};
+
+std::vector<OracleRegion> oracle_stream(std::uint64_t seed, std::uint32_t banks,
+                                        RowId rows, std::size_t records) {
+  util::Rng rng(seed);
+  // Hot rows include both bank edges and their inner neighbours, so the
+  // edge clipping at distance 1 and 2 is exercised with flips.
+  const RowId hot[] = {0, 1, 2, rows / 2, rows - 3, rows - 2, rows - 1};
+  const auto pick = [&] {
+    return rng.below(4) == 0 ? static_cast<RowId>(rng.below(rows))
+                             : hot[rng.below(std::size(hot))];
+  };
+  std::vector<OracleRegion> stream;
+  std::uint32_t interval = 0;
+  while (records > 0) {
+    OracleRegion region;
+    region.interval = interval;
+    interval = (interval + 1) % 8;
+    const std::size_t n = std::min<std::size_t>(records, 1 + rng.below(64));
+    records -= n;
+    for (std::size_t j = 0; j < n; ++j) {
+      OracleRecord rec;
+      rec.bank = static_cast<BankId>(rng.below(banks));
+      rec.row = pick();
+      if (rng.below(8) == 0)
+        for (std::uint64_t e = 1 + rng.below(2); e > 0; --e)
+          rec.extras.push_back(pick());
+      region.records.push_back(std::move(rec));
+    }
+    for (std::uint64_t k = rng.below(3); k > 0; --k)
+      region.refreshed.push_back(pick());
+    stream.push_back(std::move(region));
+  }
+  return stream;
+}
+
+void drive_serial(DisturbanceModel& model,
+                  const std::vector<OracleRegion>& stream) {
+  for (const auto& region : stream) {
+    for (const auto& rec : region.records) {
+      model.on_activate(rec.bank, rec.row, region.interval);
+      for (const RowId extra : rec.extras)
+        model.on_activate(rec.bank, extra, region.interval);
+    }
+    for (BankId b = 0; b < model.banks(); ++b)
+      for (const RowId r : region.refreshed) model.on_refresh_row(b, r);
+  }
+}
+
+/// The batched path as the controller drives it: one lane kernel per
+/// bank per region, folded and committed with the activation prefix.
+void drive_lanes(DisturbanceModel& model,
+                 const std::vector<OracleRegion>& stream) {
+  for (const auto& region : stream) {
+    std::vector<DisturbanceModel::Lane> lanes;
+    for (BankId b = 0; b < model.banks(); ++b) lanes.push_back(model.lane(b));
+    std::vector<DisturbanceModel::Kernel> kernels;
+    for (auto& lane : lanes) kernels.push_back(lane.kernel());
+    std::vector<std::uint64_t> prefix;
+    std::uint64_t running = 0;
+    for (std::size_t j = 0; j < region.records.size(); ++j) {
+      const auto& rec = region.records[j];
+      const auto serial = static_cast<std::uint32_t>(j);
+      auto& kernel = kernels[rec.bank];
+      kernel.activate(rec.row, region.interval, serial, 0);
+      std::uint32_t offset = 0;
+      for (const RowId extra : rec.extras)
+        kernel.activate(extra, region.interval, serial, ++offset);
+      prefix.push_back(running);
+      running += 1 + offset;
+    }
+    std::vector<DisturbanceModel::Lane*> ptrs;
+    for (std::size_t b = 0; b < lanes.size(); ++b) {
+      lanes[b].fold(kernels[b]);
+      ptrs.push_back(&lanes[b]);
+    }
+    model.commit_lanes(ptrs.data(), ptrs.size(), prefix.data());
+    for (BankId b = 0; b < model.banks(); ++b)
+      for (const RowId r : region.refreshed) model.on_refresh_row(b, r);
+  }
+}
+
+void expect_matches_reference(const DisturbanceModel& model,
+                              const ReferenceDisturbance& ref,
+                              const std::string& label) {
+  for (BankId b = 0; b < model.banks(); ++b)
+    for (RowId r = 0; r < model.rows_per_bank(); ++r)
+      ASSERT_EQ(model.disturbance_q8(b, r), ref.q8(b, r))
+          << label << " bank " << b << " row " << r;
+  EXPECT_EQ(model.peak_disturbance_q8(), ref.peak) << label;
+  EXPECT_EQ(model.activations(), ref.activations) << label;
+  ASSERT_EQ(model.flips().size(), ref.flips.size()) << label;
+  for (std::size_t i = 0; i < ref.flips.size(); ++i) {
+    const FlipEvent& got = model.flips()[i];
+    const FlipEvent& want = ref.flips[i];
+    EXPECT_EQ(got.bank, want.bank) << label << " flip " << i;
+    EXPECT_EQ(got.row, want.row) << label << " flip " << i;
+    EXPECT_EQ(got.at_activation, want.at_activation) << label << " flip " << i;
+    EXPECT_EQ(got.interval, want.interval) << label << " flip " << i;
+  }
+}
+
+struct OracleCase {
+  std::uint32_t blast_radius;
+  std::uint32_t variation_pct;
+};
+
+class DisturbanceOracle : public ::testing::TestWithParam<OracleCase> {};
+
+TEST_P(DisturbanceOracle, SerialAndLanePathsMatchTheReference) {
+  constexpr std::uint32_t kBanks = 2;
+  constexpr RowId kRows = 64;
+  DisturbanceParams params;
+  params.flip_threshold = 12;  // tiny, so flips (and re-flips) occur
+  params.blast_radius = GetParam().blast_radius;
+  params.distance2_weight_q8 = 100;
+  params.variation_pct = GetParam().variation_pct;
+  std::size_t flips_seen = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const auto stream = oracle_stream(seed, kBanks, kRows, 4000);
+    DisturbanceModel serial(kBanks, kRows, params);
+    DisturbanceModel laned(kBanks, kRows, params);
+    ReferenceDisturbance ref(serial);
+    for (const auto& region : stream) {
+      for (const auto& rec : region.records) {
+        ref.activate(rec.bank, rec.row, region.interval);
+        for (const RowId extra : rec.extras)
+          ref.activate(rec.bank, extra, region.interval);
+      }
+      for (BankId b = 0; b < kBanks; ++b)
+        for (const RowId r : region.refreshed) ref.refresh(b, r);
+    }
+    drive_serial(serial, stream);
+    drive_lanes(laned, stream);
+    const std::string label = "seed " + std::to_string(seed);
+    expect_matches_reference(serial, ref, "serial " + label);
+    expect_matches_reference(laned, ref, "lanes " + label);
+    flips_seen += ref.flips.size();
+  }
+  EXPECT_GT(flips_seen, 100u);  // the stream really exercises the latch
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Params, DisturbanceOracle,
+    ::testing::Values(OracleCase{1, 0}, OracleCase{1, 25}, OracleCase{2, 0},
+                      OracleCase{2, 25}),
+    [](const ::testing::TestParamInfo<OracleCase>& info) {
+      return "radius" + std::to_string(info.param.blast_radius) + "_var" +
+             std::to_string(info.param.variation_pct);
+    });
+
+TEST(DisturbanceOracle, LatchNeverShowsInCountsOrPeak) {
+  DisturbanceParams params;
+  params.flip_threshold = 1;
+  DisturbanceModel model(1, 16, params);
+  ReferenceDisturbance ref(model);
+  for (int i = 0; i < 5; ++i) {
+    model.on_activate(0, 10, 0);
+    ref.activate(0, 10, 0);
+  }
+  // Rows 9 and 11 latched on the first hit and kept accumulating.
+  ASSERT_EQ(model.flips().size(), 2u);
+  EXPECT_EQ(model.disturbance_q8(0, 9), 5u * 256);
+  EXPECT_EQ(model.disturbance_q8(0, 11), 5u * 256);
+  EXPECT_EQ(model.peak_disturbance_q8(), 5u * 256);
+  for (RowId r = 0; r < 16; ++r)
+    EXPECT_EQ(model.disturbance_q8(0, r) & DisturbanceModel::kFlipLatch, 0u);
+  EXPECT_EQ(model.peak_disturbance_q8() & DisturbanceModel::kFlipLatch, 0u);
+  expect_matches_reference(model, ref, "latched");
+  // A restore clears the latch with the count: the next hit re-flips.
+  model.on_refresh_row(0, 9);
+  ref.refresh(0, 9);
+  model.on_activate(0, 10, 3);
+  ref.activate(0, 10, 3);
+  ASSERT_EQ(model.flips().size(), 3u);
+  EXPECT_EQ(model.flips()[2].row, 9u);
+  expect_matches_reference(model, ref, "re-armed");
 }
 
 }  // namespace

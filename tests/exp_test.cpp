@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "tvp/dram/disturbance.hpp"
 #include "tvp/exp/config_io.hpp"
@@ -686,6 +689,123 @@ TEST(ConfigIo, FarPerNearAndSidesRejectNegativeAndOversized) {
                            "attack.0.pattern = half-double\n"
                            "attack.0.far_per_near = 4294967295\n"));
   EXPECT_EQ(config.workload.attacks[0].far_per_near, 4294967295u);
+}
+
+TEST(ConfigIo, NegativeRemapSwapsIsRejected) {
+  // -1 used to wrap to 2^64 - 1 in the size_t cast and hang the
+  // RowRemapper constructor drawing that many swaps.
+  const std::string shape =
+      "geometry.banks = 1\ngeometry.rows_per_bank = 8192\n"
+      "remap.rows = true\nremap.swaps = ";
+  for (const char* v : {"-1", "-9223372036854775807", "8193"})
+    expect_config_error(shape + v, "remap.swaps");
+  SimConfig config;
+  apply_config(config, util::KeyValueFile::parse(shape + "8192"));
+  EXPECT_EQ(config.remap_swaps, 8192u);
+}
+
+TEST(ConfigIo, GeometryAndWindowKeysRejectNegativeAndZero) {
+  for (const char* key : {"geometry.banks", "geometry.rows_per_bank", "windows"})
+    for (const char* v : {"-1", "0", "4294967296"})
+      expect_config_error(std::string(key) + " = " + v, key);
+}
+
+TEST(ConfigIo, DisturbanceAndActNKeysRejectOutOfRange) {
+  const std::vector<std::pair<const char*, std::vector<const char*>>> cases = {
+      {"act_n.radius", {"-1", "0", "3"}},
+      {"disturbance.flip_threshold", {"-1", "0", "4294967296"}},
+      {"disturbance.blast_radius", {"-1", "0", "3"}},
+      {"disturbance.distance2_weight_q8", {"-1", "4294967296"}},
+      {"disturbance.variation_pct", {"-1", "100"}},
+  };
+  for (const auto& [key, values] : cases)
+    for (const char* v : values)
+      expect_config_error(std::string(key) + " = " + v, key);
+  SimConfig config;
+  apply_config(config, util::KeyValueFile::parse(
+                           "act_n.radius = 2\ndisturbance.blast_radius = 2\n"
+                           "disturbance.variation_pct = 99\n"));
+  EXPECT_EQ(config.act_n_radius, 2u);
+  EXPECT_EQ(config.disturbance.blast_radius, 2u);
+  EXPECT_EQ(config.disturbance.variation_pct, 99u);
+}
+
+TEST(ConfigIo, FuzzKeysRejectOutOfRange) {
+  // fuzz.patterns = -1 used to wrap to 4294967295 patterns.
+  const std::vector<std::pair<const char*, std::vector<const char*>>> cases = {
+      {"fuzz.patterns", {"-1", "0"}},
+      {"fuzz.pairs_min", {"-1", "0"}},
+      {"fuzz.pairs_max", {"-1", "0"}},
+      {"fuzz.period_exp_min", {"-1", "17"}},
+      {"fuzz.period_exp_max", {"-1", "17"}},
+      {"fuzz.amplitude_max", {"-1", "0"}},
+      {"fuzz.decoys_max", {"-1", "0", "4294967296"}},
+  };
+  for (const auto& [key, values] : cases)
+    for (const char* v : values)
+      expect_config_error(
+          std::string("workload.model = fuzz\n") + key + " = " + v, key);
+}
+
+TEST(ConfigIo, TechniqueKeysRejectOutOfRange) {
+  const std::vector<std::pair<const char*, std::vector<const char*>>> cases = {
+      {"technique.pbase_exp", {"-1", "0", "33"}},
+      {"technique.history_entries", {"-1", "0", "256"}},
+      {"technique.counter_entries", {"-1", "0"}},
+      {"technique.twice_entries", {"-1", "0"}},
+      {"technique.capromi_cooldown", {"-1", "4294967296"}},
+  };
+  for (const auto& [key, values] : cases)
+    for (const char* v : values)
+      expect_config_error(std::string(key) + " = " + v, key);
+}
+
+TEST(ConfigIo, AttackBankRejectsOutOfRange) {
+  for (const char* v : {"-1", "4", "4294967296"})
+    expect_config_error(
+        std::string("geometry.banks = 4\nattack.count = 1\nattack.0.bank = ") +
+            v,
+        "attack.0.bank");
+}
+
+TEST(ConfigIo, AttackShapeKeysRoundTrip) {
+  // sides, far_per_near and start_frac used to be dropped by
+  // to_config_text, and a rate "%g" cannot hold came back as a
+  // different interarrival.
+  SimConfig original;
+  apply_config(original, util::KeyValueFile::parse(
+                             "attack.count = 3\n"
+                             "attack.0.pattern = many-sided\n"
+                             "attack.0.victims = 1000\n"
+                             "attack.0.sides = 7\n"
+                             "attack.0.start_frac = 0.3\n"
+                             "attack.1.pattern = half-double\n"
+                             "attack.1.victims = 5000\n"
+                             "attack.1.far_per_near = 9\n"
+                             "attack.1.rate = 23.456789123\n"
+                             "attack.1.start_frac = 0.123456789012345\n"
+                             "attack.2.pattern = double\n"
+                             "attack.2.victims = 9000\n"
+                             "attack.2.rate = 0.7071067811865476\n"));
+  SimConfig reloaded;
+  apply_config(reloaded,
+               util::KeyValueFile::parse(to_config_text(original)));
+  ASSERT_EQ(reloaded.workload.attacks.size(), 3u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    const auto& a = original.workload.attacks[i];
+    const auto& b = reloaded.workload.attacks[i];
+    EXPECT_EQ(b.pattern, a.pattern) << i;
+    EXPECT_EQ(b.victims, a.victims) << i;
+    EXPECT_EQ(b.sides, a.sides) << i;
+    EXPECT_EQ(b.far_per_near, a.far_per_near) << i;
+    EXPECT_EQ(b.start_ps, a.start_ps) << i;
+    EXPECT_EQ(b.interarrival_ps, a.interarrival_ps) << i;
+  }
+  EXPECT_EQ(reloaded.workload.attacks[0].sides, 7u);
+  EXPECT_EQ(reloaded.workload.attacks[1].far_per_near, 9u);
+  EXPECT_NE(reloaded.workload.attacks[1].start_ps, 0u);
+  // The text is a fixed point: writing the reloaded config gives it back.
+  EXPECT_EQ(to_config_text(reloaded), to_config_text(original));
 }
 
 TEST(ConfigIo, SampleConfigsLoadAndRun) {

@@ -4,6 +4,9 @@
 // published numbers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "tvp/hw/area_model.hpp"
 #include "tvp/hw/cycle_model.hpp"
 #include "tvp/hw/fsm_executor.hpp"
@@ -182,11 +185,19 @@ TEST(AreaModel, ParaIsTheReference349) {
   EXPECT_EQ(estimate_area(Technique::kPara, Target::kDdr3).luts, 349u);
 }
 
+// gtest names each case by printing the struct's bytes, so every byte is a
+// zeroed member: padding would print whatever the memory last held, and the
+// test names would change from run to run.
 struct AreaCase {
+  AreaCase(Technique t, std::uint64_t ddr4, std::uint64_t ddr3)
+      : technique(t), paper_ddr4(ddr4), paper_ddr3(ddr3) {}
   Technique technique;
+  std::uint32_t zero = 0;
   std::uint64_t paper_ddr4;
   std::uint64_t paper_ddr3;
 };
+static_assert(std::has_unique_object_representations_v<AreaCase>,
+              "AreaCase must have no padding bytes");
 
 class AreaTableIII : public ::testing::TestWithParam<AreaCase> {};
 

@@ -131,26 +131,6 @@ Result run_variant(const std::string& name,
   return r;
 }
 
-/// ns per uniform draw, bare generator vs the buffered wrapper the
-/// techniques use on the hot path (same xoshiro stream; the buffer
-/// amortizes the per-call latency without changing a single draw).
-double rng_ns_per_draw(bool buffered) {
-  constexpr std::size_t kDraws = std::size_t{1} << 22;
-  std::uint64_t sink = 0;
-  util::Timer timer;
-  if (buffered) {
-    util::BufferedRng rng{util::Rng(12345)};
-    for (std::size_t i = 0; i < kDraws; ++i) sink ^= rng.next();
-  } else {
-    util::Rng rng(12345);
-    for (std::size_t i = 0; i < kDraws; ++i) sink ^= rng.next();
-  }
-  const double ns = util::throughput(kDraws, timer).ns_per_item();
-  // Keep the dependency chain observable so the loops cannot be DCE'd.
-  if (sink == 0xDEADBEEFull) std::fprintf(stderr, "(unlikely)\n");
-  return ns;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -297,13 +277,7 @@ int main(int argc, char** argv) try {
   // serial/sharded numbers above stay timer-free.
   std::vector<Result> profiled;
   std::vector<Result> replayed;
-  double rng_bare_ns = 0.0, rng_buffered_ns = 0.0;
   if (profile) {
-    rng_bare_ns = rng_ns_per_draw(false);
-    rng_buffered_ns = rng_ns_per_draw(true);
-    std::printf("\nrng draw: %.2f ns bare, %.2f ns buffered\n",
-                rng_bare_ns, rng_buffered_ns);
-
     const std::string corpus_path = out_path + ".profile.tvpc";
     trace::CorpusWriter::Options copt;
     copt.partition_banks = config.geometry.total_banks();
@@ -398,10 +372,6 @@ int main(int argc, char** argv) try {
   emit_results(fuzz_results);
   if (profile) {
     json.key("profile").begin_object();
-    json.key("rng_ns_per_draw").begin_object();
-    json.key("bare").value(rng_bare_ns);
-    json.key("buffered").value(rng_buffered_ns);
-    json.end_object();
     const double per = static_cast<double>(trace.size());
     const auto emit_stages = [&](const std::vector<Result>& rs) {
       json.begin_array();

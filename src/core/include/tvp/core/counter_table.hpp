@@ -47,12 +47,9 @@ class CounterTable {
   /// setting the lock bit at the threshold); inserts on a miss; when
   /// full, attempts one random replacement via @p rng which fails if the
   /// chosen entry is locked. Returns the entry index touched, or nullopt
-  /// when the replacement failed. Templated over the generator so the
-  /// buffered (util::BufferedRng) and bare (util::Rng) streams share one
-  /// kernel — draw order is identical either way. Inlined: it runs once
-  /// per ACT in CaPRoMi's batch kernel.
-  template <typename RngT>
-  std::optional<std::size_t> on_activate(dram::RowId row, RngT& rng) {
+  /// when the replacement failed. Inlined: it runs once per ACT in
+  /// CaPRoMi's lane kernel.
+  std::optional<std::size_t> on_activate(dram::RowId row, util::Rng& rng) {
     // Dense scan over the valid prefix (see the invariant note below);
     // identical decisions to a full valid-checked sweep because no slot
     // past size_ is ever valid.

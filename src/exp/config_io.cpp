@@ -133,6 +133,17 @@ void apply_config(SimConfig& config, const util::KeyValueFile& file) {
       get_u32(file, "geometry.banks", config.geometry.banks_per_rank, 1);
   config.geometry.rows_per_bank =
       get_u32(file, "geometry.rows_per_bank", config.geometry.rows_per_bank, 1);
+  // The disturbance model allocates a dense 8-byte count word for every
+  // row of every bank before the first record (CRA and PRAC add 4 bytes
+  // per row), so the row total is capped before anything is sized: 2^24
+  // rows is 128 MiB of count words, 8x a 16-bank rank of 128 K rows.
+  constexpr std::uint64_t kMaxTotalRows = std::uint64_t{1} << 24;
+  if (config.geometry.rows_total() > kMaxTotalRows)
+    throw std::invalid_argument(
+        "config: 'geometry.banks' x 'geometry.rows_per_bank' = " +
+        std::to_string(config.geometry.rows_total()) + " rows exceeds " +
+        std::to_string(kMaxTotalRows) +
+        " (dense per-row disturbance counters, 8 bytes per row)");
 
   const std::string preset = file.get("timing.preset", "ddr4");
   if (preset == "ddr4")

@@ -214,8 +214,8 @@ RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
   RunResult result;
   // Batched delivery: one next_batch() virtual call per kBatchRecords
   // instead of one next() per record. The record sequence — and thus
-  // every RNG draw — is identical to the record-at-a-time loop (the
-  // bit-identical-results test in exp_test holds the two paths equal).
+  // every RNG draw — does not depend on the batch size (exp_test holds
+  // every batch size to the scalar reference controller).
   // 4096 keeps refresh segments long enough for the per-bank batch
   // kernels (and the bank_jobs sharding) to amortize their dispatch.
   constexpr std::size_t kBatchRecords = 4096;

@@ -111,24 +111,23 @@ class MemoryController {
   MemoryController(ControllerConfig config, MitigationEngine& engine,
                    dram::DisturbanceModel& disturbance, util::Rng& rng);
 
-  /// Feeds one request; records must arrive in non-decreasing time order
-  /// (throws std::invalid_argument otherwise).
-  void on_record(const trace::AccessRecord& record);
+  /// Feeds one request: a one-record on_records call.
+  void on_record(const trace::AccessRecord& record) { on_records(&record, 1); }
 
-  /// Feeds a batch of requests (same ordering contract as on_record).
+  /// Feeds a batch of requests; records must arrive in non-decreasing
+  /// time order (throws std::invalid_argument otherwise, after the valid
+  /// prefix has been processed).
   ///
-  /// This is the hot path: the batch is split into *refresh segments*
-  /// (maximal runs that cross no refresh boundary, so the mitigation
-  /// context is constant), each segment is partitioned once into
-  /// per-bank SoA lanes (contiguous row / timestamp / sequence columns),
-  /// and every bank's lane is handed to its technique in one
-  /// on_activates call — concurrently across banks when cfg.bank_jobs
-  /// > 1. The observable result (stats, disturbance state, flip events,
-  /// RNG streams) is bit-identical to calling on_record per record, in
-  /// any jobs setting; see DESIGN.md "The ACT hot path" for the
-  /// argument. Setting TVP_COLUMNAR=0 in the environment (read at
-  /// construction) forces this entry point to degrade to a serial
-  /// on_record loop — the CI determinism job runs both paths.
+  /// The batch is split into *refresh segments* (maximal runs that cross
+  /// no refresh boundary, so the mitigation context is constant), each
+  /// segment is partitioned once into per-bank SoA lanes (contiguous
+  /// row / timestamp / sequence columns), and every bank's lane is
+  /// handed to its technique in one on_activates call — concurrently
+  /// across banks when cfg.bank_jobs > 1. The observable result (stats,
+  /// disturbance state, flip events, RNG streams) does not depend on how
+  /// the stream is cut into batches or on bank_jobs, and equals the
+  /// record-at-a-time semantics the scalar reference controller in
+  /// tests/ spells out; see DESIGN.md "The ACT hot path".
   void on_records(const trace::AccessRecord* records, std::size_t count);
 
   /// Like on_records, but with the per-bank partition pre-computed (a
@@ -226,7 +225,6 @@ class MemoryController {
   void run_bank_shard(dram::BankId bank, const MitigationContext& ctx);
 
   ControllerConfig cfg_;
-  bool columnar_ = true;  ///< TVP_COLUMNAR != "0" (read at construction)
   dram::Timing timing_;
   MitigationEngine& engine_;
   dram::DisturbanceModel& disturbance_;

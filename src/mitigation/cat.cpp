@@ -24,63 +24,51 @@ void Cat::reset_tree() {
   nodes_.push_back(Node{});  // root covers the whole bank
 }
 
-void Cat::on_activate(dram::RowId row, const mem::MitigationContext&,
-                      mem::ActionBuffer& out) {
-  // Descend to the leaf covering `row` (branch on address bits, MSB
-  // first — exactly the hardware's prefix walk).
-  std::size_t index = 0;
-  while (nodes_[index].left >= 0) {
-    const std::uint8_t depth = nodes_[index].depth;
-    const bool right = (row >> (max_depth_ - 1 - depth)) & 1u;
-    index = static_cast<std::size_t>(right ? nodes_[index].right
-                                           : nodes_[index].left);
-  }
-
-  Node& leaf = nodes_[index];
-  ++leaf.count;
-
-  if (leaf.depth == max_depth_) {
-    // Single-row leaf: deterministic mitigation at the trigger threshold.
-    if (leaf.count >= cfg_.trigger_threshold) {
-      mem::MitigationAction action;
-      action.kind = mem::MitigationAction::Kind::kActNeighbors;
-      action.row = row;
-      action.suspect = row;
-      out.push_back(action);
-      leaf.count = 0;
-    }
-    return;
-  }
-
-  // Coarse leaf: split once it absorbed a quantum — if nodes remain.
-  if (leaf.count >= cfg_.split_quantum) {
-    if (nodes_.size() + 2 <= cfg_.node_budget) {
-      const std::uint8_t child_depth = leaf.depth + 1;
-      // (vector growth may invalidate `leaf`; re-index afterwards.)
-      nodes_.push_back(Node{0, -1, -1, child_depth});
-      nodes_.push_back(Node{0, -1, -1, child_depth});
-      nodes_[index].left = static_cast<std::int32_t>(nodes_.size() - 2);
-      nodes_[index].right = static_cast<std::int32_t>(nodes_.size() - 1);
-      nodes_[index].count = 0;
-    } else if (nodes_[index].count >= cfg_.trigger_threshold) {
-      // Saturated tree, hot coarse region: the defence cannot name the
-      // aggressor row — the Section II attack in action.
-      ++blind_triggers_;
-      nodes_[index].count = 0;
-    }
-  }
-}
-
 void Cat::on_activates(const dram::RowId* rows, std::size_t n,
-                        const mem::MitigationContext& ctx,
-                        mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
+                       const mem::MitigationContext&,
+                       mem::ActionBuffer& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    Cat::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    // Descend to the leaf covering `row` (branch on address bits, MSB
+    // first — exactly the hardware's prefix walk).
+    std::size_t index = 0;
+    while (nodes_[index].left >= 0) {
+      const std::uint8_t depth = nodes_[index].depth;
+      const bool right = (row >> (max_depth_ - 1 - depth)) & 1u;
+      index = static_cast<std::size_t>(right ? nodes_[index].right
+                                             : nodes_[index].left);
+    }
+
+    Node& leaf = nodes_[index];
+    ++leaf.count;
+
+    if (leaf.depth == max_depth_) {
+      // Single-row leaf: deterministic mitigation at the trigger threshold.
+      if (leaf.count >= cfg_.trigger_threshold) {
+        out.push_back({mem::MitigationAction::Kind::kActNeighbors, row, row,
+                       static_cast<std::uint32_t>(i)});
+        leaf.count = 0;
+      }
+      continue;
+    }
+
+    // Coarse leaf: split once it absorbed a quantum — if nodes remain.
+    if (leaf.count >= cfg_.split_quantum) {
+      if (nodes_.size() + 2 <= cfg_.node_budget) {
+        const std::uint8_t child_depth = leaf.depth + 1;
+        // (vector growth may invalidate `leaf`; re-index afterwards.)
+        nodes_.push_back(Node{0, -1, -1, child_depth});
+        nodes_.push_back(Node{0, -1, -1, child_depth});
+        nodes_[index].left = static_cast<std::int32_t>(nodes_.size() - 2);
+        nodes_[index].right = static_cast<std::int32_t>(nodes_.size() - 1);
+        nodes_[index].count = 0;
+      } else if (nodes_[index].count >= cfg_.trigger_threshold) {
+        // Saturated tree, hot coarse region: the defence cannot name the
+        // aggressor row — the Section II attack in action.
+        ++blind_triggers_;
+        nodes_[index].count = 0;
+      }
+    }
   }
 }
 

@@ -18,55 +18,44 @@ Graphene::Graphene(GrapheneConfig config, util::Rng) : cfg_(config) {
   counts_.assign(cfg_.entries, 0);
 }
 
-void Graphene::on_activate(dram::RowId row, const mem::MitigationContext&,
-                           mem::ActionBuffer& out) {
-  std::size_t slot = util::find_u32(rows_.data(), live_, row);
-  if (slot != live_) {
-    ++counts_[slot];
-  } else if (live_ < cfg_.entries) {
-    // Free slot: the dense prefix grows by one.
-    slot = live_++;
-    rows_[slot] = row;
-    counts_[slot] = spill_ + 1;
-  } else {
-    // Misra-Gries swap with the first spill-level entry; slot order is
-    // identical to the former first-invalid / first-at-spill walk.
-    std::size_t swap_slot = cfg_.entries;
-    for (std::size_t i = 0; i < cfg_.entries; ++i) {
-      if (counts_[i] <= spill_) {
-        swap_slot = i;
-        break;
-      }
-    }
-    if (swap_slot == cfg_.entries) {
-      ++spill_;
-      return;
-    }
-    slot = swap_slot;
-    rows_[slot] = row;
-    counts_[slot] = spill_ + 1;
-  }
-
-  if (counts_[slot] >= cfg_.row_threshold) {
-    mem::MitigationAction action;
-    action.kind = mem::MitigationAction::Kind::kActNeighbors;
-    action.row = row;
-    action.suspect = row;
-    out.push_back(action);
-    // Neighbours restored; the estimate restarts at the spill floor.
-    counts_[slot] = spill_;
-  }
-}
-
 void Graphene::on_activates(const dram::RowId* rows, std::size_t n,
-                             const mem::MitigationContext& ctx,
-                             mem::ActionBuffer& out) {
-  // Devirtualized lane kernel: one virtual call per bank lane instead
-  // of one per ACT; decisions are identical to per-element on_activate.
+                            const mem::MitigationContext&,
+                            mem::ActionBuffer& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    Graphene::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    std::size_t slot = util::find_u32(rows_.data(), live_, row);
+    if (slot != live_) {
+      ++counts_[slot];
+    } else if (live_ < cfg_.entries) {
+      // Free slot: the dense prefix grows by one.
+      slot = live_++;
+      rows_[slot] = row;
+      counts_[slot] = spill_ + 1;
+    } else {
+      // Misra-Gries swap with the first spill-level entry; slot order is
+      // identical to the former first-invalid / first-at-spill walk.
+      std::size_t swap_slot = cfg_.entries;
+      for (std::size_t e = 0; e < cfg_.entries; ++e) {
+        if (counts_[e] <= spill_) {
+          swap_slot = e;
+          break;
+        }
+      }
+      if (swap_slot == cfg_.entries) {
+        ++spill_;
+        continue;
+      }
+      slot = swap_slot;
+      rows_[slot] = row;
+      counts_[slot] = spill_ + 1;
+    }
+
+    if (counts_[slot] >= cfg_.row_threshold) {
+      out.push_back({mem::MitigationAction::Kind::kActNeighbors, row, row,
+                     static_cast<std::uint32_t>(i)});
+      // Neighbours restored; the estimate restarts at the spill floor.
+      counts_[slot] = spill_;
+    }
   }
 }
 

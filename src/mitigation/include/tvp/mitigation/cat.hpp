@@ -43,8 +43,6 @@ class Cat final : public mem::IBankMitigation {
   Cat(CatConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "CAT"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

@@ -27,8 +27,6 @@ class Cra final : public mem::IBankMitigation {
   Cra(CraConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "CRA"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

@@ -41,8 +41,6 @@ class Graphene final : public mem::IBankMitigation {
   Graphene(GrapheneConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "Graphene"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

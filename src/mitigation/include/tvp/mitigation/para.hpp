@@ -24,8 +24,6 @@ class Para final : public mem::IBankMitigation {
   Para(ParaConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "PARA"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -36,7 +34,7 @@ class Para final : public mem::IBankMitigation {
 
  private:
   ParaConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
 };
 
 mem::BankMitigationFactory make_para_factory(ParaConfig config = {});

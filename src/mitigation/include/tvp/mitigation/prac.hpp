@@ -35,8 +35,6 @@ class Prac final : public mem::IBankMitigation {
   Prac(PracConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "PRAC"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

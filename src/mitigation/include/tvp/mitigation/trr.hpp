@@ -39,8 +39,6 @@ class Trr final : public mem::IBankMitigation {
   const char* name() const noexcept override {
     return cfg_.rfm_enabled ? "TRR+RFM" : "TRR";
   }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;
@@ -60,7 +58,7 @@ class Trr final : public mem::IBankMitigation {
   void refresh_opportunity(mem::ActionBuffer& out);
 
   TrrConfig cfg_;
-  util::BufferedRng rng_;
+  util::Rng rng_;
   std::vector<Sample> sampler_;
   std::uint32_t raa_ = 0;  ///< rolling accumulated ACT count (RFM)
   std::uint64_t rfm_commands_ = 0;

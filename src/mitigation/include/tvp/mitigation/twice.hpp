@@ -37,8 +37,6 @@ class Twice final : public mem::IBankMitigation {
   Twice(TwiceConfig config, util::Rng rng);
 
   const char* name() const noexcept override { return "TWiCe"; }
-  void on_activate(dram::RowId row, const mem::MitigationContext& ctx,
-                   mem::ActionBuffer& out) override;
   void on_activates(const dram::RowId* rows, std::size_t n,
                     const mem::MitigationContext& ctx,
                     mem::ActionBuffer& out) override;

@@ -10,36 +10,23 @@ Para::Para(ParaConfig config, util::Rng rng) : cfg_(config), rng_(rng) {
     throw std::invalid_argument("Para: zero rows_per_bank");
 }
 
-void Para::on_activate(dram::RowId row, const mem::MitigationContext&,
-                       mem::ActionBuffer& out) {
-  if (!rng_.bernoulli_q32(cfg_.p.raw())) return;
-  // Pick one side at random; fall back to the other at the array edge.
-  const bool up = (rng_.next() & 1) != 0;
-  dram::RowId neighbor;
-  if (up && row + 1 < cfg_.rows_per_bank)
-    neighbor = row + 1;
-  else if (row > 0)
-    neighbor = row - 1;
-  else
-    neighbor = row + 1;
-
-  mem::MitigationAction action;
-  action.kind = mem::MitigationAction::Kind::kActRow;
-  action.row = neighbor;
-  action.suspect = row;
-  out.push_back(action);
-}
-
 void Para::on_activates(const dram::RowId* rows, std::size_t n,
-                         const mem::MitigationContext& ctx,
-                         mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
+                        const mem::MitigationContext&,
+                        mem::ActionBuffer& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    Para::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    if (!rng_.bernoulli_q32(cfg_.p.raw())) continue;
+    // Pick one side at random; fall back to the other at the array edge.
+    const dram::RowId row = rows[i];
+    const bool up = (rng_.next() & 1) != 0;
+    dram::RowId neighbor;
+    if (up && row + 1 < cfg_.rows_per_bank)
+      neighbor = row + 1;
+    else if (row > 0)
+      neighbor = row - 1;
+    else
+      neighbor = row + 1;
+    out.push_back({mem::MitigationAction::Kind::kActRow, neighbor, row,
+                   static_cast<std::uint32_t>(i)});
   }
 }
 

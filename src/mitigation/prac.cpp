@@ -18,31 +18,21 @@ Prac::Prac(PracConfig config, util::Rng) : cfg_(config) {
   counts_.assign(cfg_.rows_per_bank, 0);
 }
 
-void Prac::on_activate(dram::RowId row, const mem::MitigationContext&,
-                       mem::ActionBuffer& out) {
-  if (++counts_[row] < cfg_.row_threshold) return;
-  counts_[row] = 0;
-  ++alerts_;  // the device raises ALERT; the back-off refreshes neighbours
-  mem::MitigationAction action;
-  action.kind = mem::MitigationAction::Kind::kActNeighbors;
-  action.row = row;
-  action.suspect = row;
-  out.push_back(action);
-}
-
 void Prac::on_activates(const dram::RowId* rows, std::size_t n,
-                         const mem::MitigationContext& ctx,
-                         mem::ActionBuffer& out) {
-  // Devirtualized lane kernel. The per-row counter table spans the
-  // whole bank, so the lane's future rows are prefetched a few ACTs
-  // ahead of their increments.
+                        const mem::MitigationContext&,
+                        mem::ActionBuffer& out) {
+  // The per-row counter table spans the whole bank, so the lane's
+  // future rows are prefetched a few ACTs ahead of their increments.
   constexpr std::size_t kPrefetchDist = 8;
   for (std::size_t i = 0; i < n; ++i) {
     if (i + kPrefetchDist < n)
       util::prefetch_read(&counts_[rows[i + kPrefetchDist]]);
-    const std::size_t before = out.size();
-    Prac::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    if (++counts_[row] < cfg_.row_threshold) continue;
+    counts_[row] = 0;
+    ++alerts_;  // the device raises ALERT; the back-off refreshes neighbours
+    out.push_back({mem::MitigationAction::Kind::kActNeighbors, row, row,
+                   static_cast<std::uint32_t>(i)});
   }
 }
 

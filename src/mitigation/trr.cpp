@@ -20,44 +20,37 @@ Trr::Trr(TrrConfig config, util::Rng rng) : cfg_(config), rng_(rng) {
   sampler_.assign(cfg_.sampler_entries, Sample{});
 }
 
-void Trr::on_activate(dram::RowId row, const mem::MitigationContext&,
-                      mem::ActionBuffer& out) {
-  // Frequency-biased reservoir sampling.
-  Sample* lowest = &sampler_.front();
-  bool tracked = false;
-  for (auto& s : sampler_) {
-    if (s.valid && s.row == row) {
-      ++s.score;
-      tracked = true;
-      break;
-    }
-    if (!s.valid) {
-      s = Sample{row, 1, true};
-      tracked = true;
-      break;
-    }
-    if (s.score < lowest->score) lowest = &s;
-  }
-  if (!tracked && rng_.below(lowest->score + 1) == 0)
-    *lowest = Sample{row, 1, true};
-
-  if (cfg_.rfm_enabled && ++raa_ >= cfg_.raaimt) {
-    raa_ = 0;
-    ++rfm_commands_;
-    refresh_opportunity(out);
-  }
-}
-
 void Trr::on_activates(const dram::RowId* rows, std::size_t n,
-                        const mem::MitigationContext& ctx,
-                        mem::ActionBuffer& out) {
-  // Devirtualized batch loop: one virtual call per same-bank span
-  // instead of one per ACT; decisions and RNG draws are identical to
-  // per-element on_activate.
+                       const mem::MitigationContext&,
+                       mem::ActionBuffer& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    Trr::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    // Frequency-biased reservoir sampling.
+    Sample* lowest = &sampler_.front();
+    bool tracked = false;
+    for (auto& s : sampler_) {
+      if (s.valid && s.row == row) {
+        ++s.score;
+        tracked = true;
+        break;
+      }
+      if (!s.valid) {
+        s = Sample{row, 1, true};
+        tracked = true;
+        break;
+      }
+      if (s.score < lowest->score) lowest = &s;
+    }
+    if (!tracked && rng_.below(lowest->score + 1) == 0)
+      *lowest = Sample{row, 1, true};
+
+    if (cfg_.rfm_enabled && ++raa_ >= cfg_.raaimt) {
+      raa_ = 0;
+      ++rfm_commands_;
+      const std::size_t before = out.size();
+      refresh_opportunity(out);
+      out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    }
   }
 }
 

@@ -20,46 +20,35 @@ Twice::Twice(TwiceConfig config, util::Rng) : cfg_(config) {
   lifes_.assign(cfg_.entries, 0);
 }
 
-void Twice::on_activate(dram::RowId row, const mem::MitigationContext&,
-                        mem::ActionBuffer& out) {
-  // SIMD sweep of the dense row column — the simulation stand-in for
-  // the hardware CAM's single-cycle associative match.
-  const std::size_t hit = util::find_u32(rows_.data(), live_, row);
-  if (hit != live_) {
-    if (++counts_[hit] >= cfg_.row_threshold) {
-      mem::MitigationAction action;
-      action.kind = mem::MitigationAction::Kind::kActNeighbors;
-      action.row = row;
-      action.suspect = row;
-      out.push_back(action);
-      // Neighbours restored; counting starts over for this aggressor.
-      counts_[hit] = 0;
-      lifes_[hit] = 0;
-    }
-    return;
-  }
-  if (live_ == cfg_.entries) {
-    // Table exhausted: TWiCe's sizing analysis says this cannot happen;
-    // record it so the tests can assert the guarantee.
-    ++overflow_drops_;
-    return;
-  }
-  rows_[live_] = row;
-  counts_[live_] = 1;
-  lifes_[live_] = 0;
-  ++live_;
-  peak_live_ = std::max(peak_live_, live_);
-}
-
 void Twice::on_activates(const dram::RowId* rows, std::size_t n,
-                          const mem::MitigationContext& ctx,
-                          mem::ActionBuffer& out) {
-  // Devirtualized lane kernel: one virtual call per bank lane instead
-  // of one per ACT; decisions are identical to per-element on_activate.
+                         const mem::MitigationContext&,
+                         mem::ActionBuffer& out) {
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t before = out.size();
-    Twice::on_activate(rows[i], ctx, out);
-    out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    const dram::RowId row = rows[i];
+    // SIMD sweep of the dense row column — the simulation stand-in for
+    // the hardware CAM's single-cycle associative match.
+    const std::size_t hit = util::find_u32(rows_.data(), live_, row);
+    if (hit != live_) {
+      if (++counts_[hit] >= cfg_.row_threshold) {
+        out.push_back({mem::MitigationAction::Kind::kActNeighbors, row, row,
+                       static_cast<std::uint32_t>(i)});
+        // Neighbours restored; counting starts over for this aggressor.
+        counts_[hit] = 0;
+        lifes_[hit] = 0;
+      }
+      continue;
+    }
+    if (live_ == cfg_.entries) {
+      // Table exhausted: TWiCe's sizing analysis says this cannot happen;
+      // record it so the tests can assert the guarantee.
+      ++overflow_drops_;
+      continue;
+    }
+    rows_[live_] = row;
+    counts_[live_] = 1;
+    lifes_[live_] = 0;
+    ++live_;
+    peak_live_ = std::max(peak_live_, live_);
   }
 }
 

@@ -11,8 +11,6 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <utility>
-#include <vector>
 
 namespace tvp::util {
 
@@ -140,112 +138,6 @@ class Rng {
   }
 
   std::uint64_t state_[4]{};
-};
-
-/// Rng wrapper that pre-draws uniform 64-bit words into a buffer in
-/// bulk and hands them out strictly in generation order.
-///
-/// Popping in order is what keeps it a drop-in replacement: every
-/// derived draw (below, bernoulli_q32, ...) consumes exactly the words
-/// the wrapped Rng would have produced at that point, so decision
-/// sequences are bit-identical to calling the bare generator — the only
-/// difference is when the generator advances, which nothing observes.
-/// Eagerly pre-computing *decisions* would not have this property
-/// (draw consumption is data-dependent: bernoulli_q32 consumes nothing
-/// at the 0/1 endpoints and below() may reject), which is why the
-/// buffer holds raw words, not outcomes.
-///
-/// The buffer capacity is read from TVP_RNG_BUFFER once at
-/// construction (default 256 words; minimum 1, where the wrapper
-/// degenerates to per-call draws).
-class BufferedRng {
- public:
-  using result_type = std::uint64_t;
-
-  /// Wraps @p rng (by value; the buffer owns the stream from here on).
-  explicit BufferedRng(Rng rng) noexcept;
-
-  // Copies and moves re-anchor the data_/cap_ mirror onto the new
-  // buffer; stream position and contents carry over unchanged.
-  BufferedRng(const BufferedRng& other)
-      : rng_(other.rng_), buf_(other.buf_), pos_(other.pos_) {
-    data_ = buf_.data();
-    cap_ = buf_.size();
-  }
-  BufferedRng(BufferedRng&& other) noexcept
-      : rng_(other.rng_), buf_(std::move(other.buf_)), pos_(other.pos_) {
-    data_ = buf_.data();
-    cap_ = buf_.size();
-  }
-  BufferedRng& operator=(const BufferedRng& other) {
-    rng_ = other.rng_;
-    buf_ = other.buf_;
-    pos_ = other.pos_;
-    data_ = buf_.data();
-    cap_ = buf_.size();
-    return *this;
-  }
-  BufferedRng& operator=(BufferedRng&& other) noexcept {
-    rng_ = other.rng_;
-    buf_ = std::move(other.buf_);
-    pos_ = other.pos_;
-    data_ = buf_.data();
-    cap_ = buf_.size();
-    return *this;
-  }
-
-  static constexpr result_type min() noexcept { return Rng::min(); }
-  static constexpr result_type max() noexcept { return Rng::max(); }
-
-  result_type operator()() noexcept { return next(); }
-
-  /// Next 64 random bits (same stream as the wrapped Rng).
-  result_type next() noexcept {
-    if (pos_ == cap_) [[unlikely]] refill();
-    return data_[pos_++];
-  }
-
-  /// Uniform integer in [0, bound); identical draws to Rng::below.
-  std::uint64_t below(std::uint64_t bound) noexcept;
-
-  /// Uniform integer in [lo, hi] inclusive; requires lo <= hi.
-  std::uint64_t between(std::uint64_t lo, std::uint64_t hi) noexcept {
-    return lo + below(hi - lo + 1);
-  }
-
-  /// Uniform double in [0, 1).
-  double uniform() noexcept {
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Bernoulli trial with success probability @p p (clamped to [0,1]).
-  bool bernoulli(double p) noexcept {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform() < p;
-  }
-
-  /// Hardware-style Q0.32 Bernoulli trial; consumes nothing at the
-  /// 0 / >=1 endpoints, exactly like Rng::bernoulli_q32.
-  bool bernoulli_q32(std::uint64_t threshold_q32) noexcept {
-    if (threshold_q32 == 0) return false;
-    if (threshold_q32 >= (1ull << 32)) return true;
-    return (next() >> 32) < threshold_q32;
-  }
-
- private:
-  void refill() noexcept {
-    for (std::size_t i = 0; i < cap_; ++i) data_[i] = rng_.next();
-    pos_ = 0;
-  }
-
-  Rng rng_;
-  std::vector<std::uint64_t> buf_;
-  // Hot-path mirror of buf_: data_/cap_ never change after
-  // construction, so next() touches no vector internals.
-  std::uint64_t* data_ = nullptr;
-  std::size_t cap_ = 0;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace tvp::util

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "tvp/core/counter_table.hpp"
@@ -513,6 +514,86 @@ TEST(TiVaPRoMi, DeterministicForSameSeed) {
       b.on_activate(i % 1024, ctx_at(i % 64), out_b);
     }
     EXPECT_EQ(out_a.size(), out_b.size());
+  }
+}
+
+// Drives @p technique one ACT at a time over a seeded stream (hot and
+// scattered rows, a REF at every interval, window starts included) and
+// checks each decision against Eq. 1/2 in closed form: weight_for() and
+// FixedProb::scaled compared against a bare util::Rng on the same seed.
+// The technique decides through its threshold LUTs instead, so this is
+// an independent check of those tables and of the draw order.
+template <typename Technique>
+void expect_decisions_match_closed_form(Technique& technique,
+                                        const TiVaPRoMiConfig& cfg,
+                                        std::uint64_t seed,
+                                        const std::string& label) {
+  util::Rng ref(seed);
+  util::Rng stream(seed ^ 0x5EEDull);
+  const std::vector<dram::RowId> hot = {3, 100, 101, 517, 900, 1023};
+  mem::ActionBuffer out;
+  std::uint64_t triggers = 0, quiet = 0, history_hits = 0;
+  for (std::uint64_t g = 0; g < 3ull * cfg.refresh_intervals; ++g) {
+    const auto interval = static_cast<std::uint32_t>(g % cfg.refresh_intervals);
+    mem::MitigationContext ctx;
+    ctx.interval_in_window = interval;
+    ctx.global_interval = g;
+    ctx.window_start = interval == 0;
+    out.clear();
+    technique.on_refresh(ctx, out);
+    ASSERT_TRUE(out.empty()) << label;
+    ctx.window_start = false;
+    const std::uint64_t acts = stream.below(12);
+    for (std::uint64_t k = 0; k < acts; ++k) {
+      const dram::RowId row =
+          stream.below(4) == 0
+              ? static_cast<dram::RowId>(stream.below(cfg.rows_per_bank))
+              : hot[stream.below(hot.size())];
+      history_hits += technique.history().lookup(row).has_value();
+      const bool expected = ref.bernoulli_q32(
+          cfg.pbase().scaled(technique.weight_for(row, interval)).raw());
+      out.clear();
+      technique.on_activate(row, ctx, out);
+      ASSERT_EQ(!out.empty(), expected)
+          << label << " window-interval " << g << " row " << row;
+      if (!expected) {
+        ++quiet;
+        continue;
+      }
+      ++triggers;
+      ASSERT_EQ(out.size(), 1u) << label;
+      EXPECT_EQ(out[0].kind, mem::MitigationAction::Kind::kActNeighbors);
+      EXPECT_EQ(out[0].row, row) << label;
+      EXPECT_EQ(out[0].suspect, row) << label;
+      EXPECT_EQ(out[0].origin, 0u) << label;
+    }
+  }
+  // The stream must exercise both outcomes and the history-hit branch.
+  EXPECT_GT(triggers, 20u) << label;
+  EXPECT_GT(quiet, 20u) << label;
+  EXPECT_GT(history_hits, 20u) << label;
+}
+
+TEST(TiVaPRoMi, EveryDecisionMatchesTheClosedFormOracle) {
+  auto cfg = small_config();
+  cfg.pbase_exp = 8;  // p up to 1/4: frequent triggers and table churn
+  for (const auto variant : {Variant::kLinear, Variant::kLogarithmic,
+                             Variant::kLogLinear}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 2021ull}) {
+      ProbabilisticTiVaPRoMi technique(variant, cfg, util::Rng(seed));
+      expect_decisions_match_closed_form(
+          technique, cfg, seed,
+          std::string(to_string(variant)) + " seed " + std::to_string(seed));
+    }
+  }
+  for (const auto shape : {WeightShape::kLinear, WeightShape::kLogarithmic,
+                           WeightShape::kSqrt, WeightShape::kQuadratic}) {
+    for (const std::uint64_t seed : {1ull, 42ull, 2021ull}) {
+      ShapedTiVaPRoMi technique(shape, cfg, util::Rng(seed));
+      expect_decisions_match_closed_form(
+          technique, cfg, seed,
+          std::string(to_string(shape)) + " seed " + std::to_string(seed));
+    }
   }
 }
 

@@ -2,8 +2,10 @@
 // and the security analysis (flood + verdict).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -65,38 +67,159 @@ TEST(Runner, DeterministicForSameSeed) {
   EXPECT_EQ(a.records, b.records);
 }
 
-// Feeds @p records into a freshly built system for @p cfg, delivering
-// them in chunks of @p batch (batch == 1 degenerates to on_record).
-mem::ControllerStats feed_records(const SimConfig& cfg, std::size_t batch,
-                                  const std::vector<trace::AccessRecord>& records,
-                                  std::uint64_t* flips) {
-  util::Rng rng(cfg.seed);
-  (void)rng.fork();  // workload stream, unused: records are pre-drained
-  util::Rng engine_rng = rng.fork();
-  util::Rng controller_rng = rng.fork();
-  mem::MitigationEngine engine(
-      cfg.geometry.total_banks(),
-      make_factory(hw::Technique::kLoLiPRoMi, cfg.technique), engine_rng);
-  dram::DisturbanceModel disturbance(cfg.geometry.total_banks(),
-                                     cfg.geometry.rows_per_bank,
-                                     cfg.disturbance);
-  mem::ControllerConfig controller_cfg;
-  controller_cfg.geometry = cfg.geometry;
-  controller_cfg.timing = cfg.timing;
-  controller_cfg.refresh_policy = cfg.refresh_policy;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
-  if (batch <= 1) {
-    for (const auto& r : records) controller.on_record(r);
-  } else {
-    for (std::size_t i = 0; i < records.size(); i += batch)
-      controller.on_records(records.data() + i,
-                            std::min(batch, records.size() - i));
+// The record-at-a-time semantics of mem::MemoryController, written out
+// serially as the reference its lane pipeline is held to. Per record:
+// refresh ticks up to the record's time, the tRC/tRFC stall, one serial
+// DisturbanceModel::on_activate, one technique call, and the issue of
+// every requested action (cost, oracle and phase accounting). The
+// production controller partitions segments into per-bank lanes, may
+// shard banks across workers and commits disturbance lanes in bulk; the
+// equivalence tests below require it to agree with this class bit for
+// bit.
+class ScalarReferenceController {
+ public:
+  ScalarReferenceController(const mem::ControllerConfig& config,
+                            mem::MitigationEngine& engine,
+                            dram::DisturbanceModel& disturbance,
+                            util::Rng& rng)
+      : cfg_(config),
+        engine_(engine),
+        disturbance_(disturbance),
+        // Same construction order (and so the same RNG draws) as the
+        // controller's remapper and refresh scheduler.
+        remapper_(config.remap_rows
+                      ? dram::RowRemapper(config.geometry.rows_per_bank,
+                                          config.remap_swaps, rng)
+                      : dram::RowRemapper(config.geometry.rows_per_bank)),
+        scheduler_(config.geometry.rows_per_bank,
+                   config.timing.refresh_intervals, config.refresh_policy,
+                   rng, config.remap_swaps),
+        next_refresh_ps_(config.timing.t_refi_ps()),
+        bank_ready_ps_(engine.banks(), 0),
+        interval_acts_(engine.banks(), 0) {}
+
+  void set_aggressor_oracle(mem::AggressorOracle oracle) {
+    oracle_ = std::move(oracle);
   }
-  controller.advance_to(cfg.duration_ps());
-  *flips = disturbance.flips().size();
-  return controller.stats();
-}
+  const mem::ControllerStats& stats() const noexcept { return stats_; }
+
+  void on_record(const trace::AccessRecord& record) {
+    ASSERT_GE(record.time_ps, now_ps_) << "records must be time-ordered";
+    now_ps_ = record.time_ps;
+    refresh_up_to(now_ps_);
+
+    const dram::BankId bank = record.bank;
+    if (cfg_.enforce_timing) {
+      if (bank_ready_ps_[bank] > now_ps_) ++stats_.delayed_acts;
+      bank_ready_ps_[bank] =
+          std::max(bank_ready_ps_[bank], now_ps_) + cfg_.timing.t_rc_ps;
+    }
+    ++stats_.demand_acts;
+    ++(record.write ? stats_.writes : stats_.reads);
+    ++interval_acts_[bank];
+
+    const std::uint32_t interval = interval_in_window();
+    disturbance_.on_activate(bank, remapper_.to_physical(record.row), interval);
+    mem::MitigationContext ctx;
+    ctx.interval_in_window = interval;
+    ctx.global_interval = global_interval_;
+    actions_.clear();
+    engine_.bank(bank).on_activate(record.row, ctx, actions_);
+    issue_actions(bank, interval);
+  }
+
+  void advance_to(std::uint64_t time_ps) {
+    refresh_up_to(time_ps);
+    now_ps_ = std::max(now_ps_, time_ps);
+  }
+
+ private:
+  std::uint32_t interval_in_window() const noexcept {
+    return static_cast<std::uint32_t>(global_interval_ %
+                                      cfg_.timing.refresh_intervals);
+  }
+
+  // One all-bank REF per tREFI boundary up to @p time_ps.
+  void refresh_up_to(std::uint64_t time_ps) {
+    while (next_refresh_ps_ <= time_ps) {
+      const std::uint64_t boundary_ps = next_refresh_ps_;
+      next_refresh_ps_ += cfg_.timing.t_refi_ps();
+      ++global_interval_;
+      ++stats_.refresh_intervals;
+      const std::uint32_t interval = interval_in_window();
+      mem::MitigationContext ctx;
+      ctx.interval_in_window = interval;
+      ctx.global_interval = global_interval_;
+      ctx.window_start = interval == 0;
+      const dram::RefreshRows rows = scheduler_.rows_in_interval(interval);
+      for (dram::BankId b = 0; b < engine_.banks(); ++b) {
+        stats_.acts_per_interval.add(static_cast<double>(interval_acts_[b]));
+        interval_acts_[b] = 0;
+        if (cfg_.enforce_timing)
+          bank_ready_ps_[b] = std::max(bank_ready_ps_[b],
+                                       boundary_ps + cfg_.timing.t_rfc_ps);
+        for (const auto row : rows) {
+          disturbance_.on_refresh_row(b, row);
+          ++stats_.rows_refreshed;
+        }
+        actions_.clear();
+        engine_.bank(b).on_refresh(ctx, actions_);
+        issue_actions(b, interval);
+      }
+    }
+  }
+
+  void activate_physical(dram::BankId bank, dram::RowId row,
+                         std::uint32_t interval) {
+    if (cfg_.enforce_timing) bank_ready_ps_[bank] += cfg_.timing.t_rc_ps;
+    disturbance_.on_activate(bank, row, interval);
+  }
+
+  void issue_actions(dram::BankId bank, std::uint32_t interval) {
+    const auto rows = static_cast<std::int64_t>(cfg_.geometry.rows_per_bank);
+    const auto radius = static_cast<std::int64_t>(cfg_.act_n_radius);
+    for (const auto& action : actions_) {
+      ++stats_.triggers;
+      if (stats_.first_extra_act_at == 0)
+        stats_.first_extra_act_at =
+            std::max<std::uint64_t>(stats_.demand_acts, 1);
+      std::uint32_t cost = 0;
+      if (action.kind == mem::MitigationAction::Kind::kActRow) {
+        activate_physical(bank, remapper_.to_physical(action.row), interval);
+        cost = 1;
+      } else {
+        const auto physical =
+            static_cast<std::int64_t>(remapper_.to_physical(action.row));
+        for (std::int64_t d = -radius; d <= radius; ++d) {
+          const std::int64_t neighbor = physical + d;
+          if (d == 0 || neighbor < 0 || neighbor >= rows) continue;
+          activate_physical(bank, static_cast<dram::RowId>(neighbor),
+                            interval);
+          ++cost;
+        }
+      }
+      stats_.extra_acts += cost;
+      if (oracle_ && !oracle_(bank, action.suspect))
+        stats_.fp_extra_acts += cost;
+      stats_.extra_acts_by_phase[interval * mem::ControllerStats::kPhaseBins /
+                                 cfg_.timing.refresh_intervals] += cost;
+    }
+  }
+
+  mem::ControllerConfig cfg_;
+  mem::MitigationEngine& engine_;
+  dram::DisturbanceModel& disturbance_;
+  dram::RowRemapper remapper_;
+  dram::RefreshScheduler scheduler_;
+  mem::AggressorOracle oracle_;
+  mem::ControllerStats stats_;
+  mem::ActionBuffer actions_;
+  std::uint64_t now_ps_ = 0;
+  std::uint64_t global_interval_ = 0;
+  std::uint64_t next_refresh_ps_;
+  std::vector<std::uint64_t> bank_ready_ps_;
+  std::vector<std::uint32_t> interval_acts_;
+};
 
 /// Everything the batch-equivalence contract pins: the controller
 /// counters plus the disturbance model's ground truth.
@@ -107,10 +230,12 @@ struct FeedOutcome {
   std::uint64_t peak_q8 = 0;
 };
 
-/// Like feed_records, but parameterized over technique, batch size and
-/// bank_jobs, with the aggressor oracle wired for FPR accounting.
-/// batch == 0 selects the record-at-a-time on_record loop (the
-/// reference); any other batch delivers through on_records.
+/// Feeds @p records into a freshly built system for @p cfg and
+/// @p factory, with the aggressor oracle wired for FPR accounting when
+/// @p aggressors is given. batch == 0 runs the ScalarReferenceController
+/// (the baseline); any other batch delivers through the production
+/// controller's on_records in chunks of @p batch, with @p bank_jobs
+/// shard workers.
 FeedOutcome feed_outcome(const SimConfig& cfg,
                          const mem::BankMitigationFactory& factory,
                          std::size_t batch, std::size_t bank_jobs,
@@ -129,29 +254,73 @@ FeedOutcome feed_outcome(const SimConfig& cfg,
   controller_cfg.timing = cfg.timing;
   controller_cfg.refresh_policy = cfg.refresh_policy;
   controller_cfg.bank_jobs = bank_jobs;
-  mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                   controller_rng);
+  mem::AggressorOracle oracle;
   if (aggressors) {
-    controller.set_aggressor_oracle(
-        [aggressors](dram::BankId bank, dram::RowId row) {
-          return aggressors->count((static_cast<std::uint64_t>(bank) << 32) |
-                                   row) != 0;
-        });
+    oracle = [aggressors](dram::BankId bank, dram::RowId row) {
+      return aggressors->count((static_cast<std::uint64_t>(bank) << 32) |
+                               row) != 0;
+    };
   }
+  FeedOutcome out;
   if (batch == 0) {
-    for (const auto& r : records) controller.on_record(r);
+    ScalarReferenceController reference(controller_cfg, engine, disturbance,
+                                        controller_rng);
+    reference.set_aggressor_oracle(oracle);
+    for (const auto& r : records) reference.on_record(r);
+    reference.advance_to(cfg.duration_ps());
+    out.stats = reference.stats();
   } else {
+    mem::MemoryController controller(controller_cfg, engine, disturbance,
+                                     controller_rng);
+    controller.set_aggressor_oracle(oracle);
     for (std::size_t i = 0; i < records.size(); i += batch)
       controller.on_records(records.data() + i,
                             std::min(batch, records.size() - i));
+    controller.advance_to(cfg.duration_ps());
+    out.stats = controller.stats();
   }
-  controller.advance_to(cfg.duration_ps());
-  FeedOutcome out;
-  out.stats = controller.stats();
   out.flips = disturbance.flips();
   out.activations = disturbance.activations();
   out.peak_q8 = disturbance.peak_disturbance_q8();
   return out;
+}
+
+/// Asserts that @p got matches @p base in every pinned field.
+void expect_same_outcome(const FeedOutcome& base, const FeedOutcome& got,
+                         const std::string& label) {
+  EXPECT_EQ(base.stats.demand_acts, got.stats.demand_acts) << label;
+  EXPECT_EQ(base.stats.extra_acts, got.stats.extra_acts) << label;
+  EXPECT_EQ(base.stats.fp_extra_acts, got.stats.fp_extra_acts) << label;
+  EXPECT_EQ(base.stats.triggers, got.stats.triggers) << label;
+  EXPECT_EQ(base.stats.reads, got.stats.reads) << label;
+  EXPECT_EQ(base.stats.writes, got.stats.writes) << label;
+  EXPECT_EQ(base.stats.delayed_acts, got.stats.delayed_acts) << label;
+  EXPECT_EQ(base.stats.refresh_intervals, got.stats.refresh_intervals)
+      << label;
+  EXPECT_EQ(base.stats.rows_refreshed, got.stats.rows_refreshed) << label;
+  EXPECT_EQ(base.stats.first_extra_act_at, got.stats.first_extra_act_at)
+      << label;
+  EXPECT_EQ(base.stats.extra_acts_by_phase, got.stats.extra_acts_by_phase)
+      << label;
+  EXPECT_EQ(base.stats.acts_per_interval.count(),
+            got.stats.acts_per_interval.count())
+      << label;
+  EXPECT_EQ(base.stats.acts_per_interval.mean(),
+            got.stats.acts_per_interval.mean())
+      << label;
+  EXPECT_EQ(base.stats.acts_per_interval.max(),
+            got.stats.acts_per_interval.max())
+      << label;
+  EXPECT_EQ(base.activations, got.activations) << label;
+  EXPECT_EQ(base.peak_q8, got.peak_q8) << label;
+  ASSERT_EQ(base.flips.size(), got.flips.size()) << label;
+  for (std::size_t f = 0; f < base.flips.size(); ++f) {
+    EXPECT_EQ(base.flips[f].bank, got.flips[f].bank) << label;
+    EXPECT_EQ(base.flips[f].row, got.flips[f].row) << label;
+    EXPECT_EQ(base.flips[f].at_activation, got.flips[f].at_activation)
+        << label;
+    EXPECT_EQ(base.flips[f].interval, got.flips[f].interval) << label;
+  }
 }
 
 TEST(Runner, BatchedDeliveryIsBitIdenticalToRecordAtATime) {
@@ -168,25 +337,20 @@ TEST(Runner, BatchedDeliveryIsBitIdenticalToRecordAtATime) {
   const auto records = trace::drain(*build_workload(cfg, workload_rng));
   ASSERT_FALSE(records.empty());
 
-  std::uint64_t flips1 = 0;
-  const auto one = feed_records(cfg, 1, records, &flips1);
-  for (const std::size_t batch : {7ul, 256ul, records.size()}) {
-    std::uint64_t flips_b = 0;
-    const auto batched = feed_records(cfg, batch, records, &flips_b);
-    EXPECT_EQ(one.demand_acts, batched.demand_acts) << "batch " << batch;
-    EXPECT_EQ(one.extra_acts, batched.extra_acts) << "batch " << batch;
-    EXPECT_EQ(one.fp_extra_acts, batched.fp_extra_acts) << "batch " << batch;
-    EXPECT_EQ(one.triggers, batched.triggers) << "batch " << batch;
-    EXPECT_EQ(one.reads, batched.reads) << "batch " << batch;
-    EXPECT_EQ(flips1, flips_b) << "batch " << batch;
-  }
+  const auto factory = make_factory(hw::Technique::kLoLiPRoMi, cfg.technique);
+  const FeedOutcome reference =
+      feed_outcome(cfg, factory, 0, 1, nullptr, records);
+  for (const std::size_t batch : {1ul, 7ul, 256ul, records.size()})
+    expect_same_outcome(
+        reference, feed_outcome(cfg, factory, batch, 1, nullptr, records),
+        "batch " + std::to_string(batch));
 }
 
 TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
   // The full batch-equivalence contract: for every technique (the
   // unprotected baseline, the paper's nine, and Graphene), delivery via
   // on_records — at any batch size, serial or per-bank sharded — must be
-  // bit-identical to a record-at-a-time on_record loop: every counter
+  // bit-identical to the ScalarReferenceController: every counter
   // (including the FPR / ground-truth accounting driven by the
   // aggressor oracle), the phase histogram, first_extra_act_at, and the
   // exact flip-event history.
@@ -236,110 +400,13 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
         feed_outcome(cfg, factory, 0, 1, &aggressors, records);
     for (const std::size_t batch : {1ul, 7ul, 256ul, 4096ul}) {
       for (const std::size_t jobs : {1ul, 8ul}) {
-        const FeedOutcome got =
-            feed_outcome(cfg, factory, batch, jobs, &aggressors, records);
-        const std::string label =
+        expect_same_outcome(
+            base,
+            feed_outcome(cfg, factory, batch, jobs, &aggressors, records),
             name + " batch " + std::to_string(batch) + " jobs " +
-            std::to_string(jobs);
-        EXPECT_EQ(base.stats.demand_acts, got.stats.demand_acts) << label;
-        EXPECT_EQ(base.stats.extra_acts, got.stats.extra_acts) << label;
-        EXPECT_EQ(base.stats.fp_extra_acts, got.stats.fp_extra_acts) << label;
-        EXPECT_EQ(base.stats.triggers, got.stats.triggers) << label;
-        EXPECT_EQ(base.stats.reads, got.stats.reads) << label;
-        EXPECT_EQ(base.stats.writes, got.stats.writes) << label;
-        EXPECT_EQ(base.stats.delayed_acts, got.stats.delayed_acts) << label;
-        EXPECT_EQ(base.stats.refresh_intervals, got.stats.refresh_intervals)
-            << label;
-        EXPECT_EQ(base.stats.first_extra_act_at, got.stats.first_extra_act_at)
-            << label;
-        EXPECT_EQ(base.stats.extra_acts_by_phase, got.stats.extra_acts_by_phase)
-            << label;
-        EXPECT_EQ(base.activations, got.activations) << label;
-        EXPECT_EQ(base.peak_q8, got.peak_q8) << label;
-        ASSERT_EQ(base.flips.size(), got.flips.size()) << label;
-        for (std::size_t f = 0; f < base.flips.size(); ++f) {
-          EXPECT_EQ(base.flips[f].bank, got.flips[f].bank) << label;
-          EXPECT_EQ(base.flips[f].row, got.flips[f].row) << label;
-          EXPECT_EQ(base.flips[f].at_activation, got.flips[f].at_activation)
-              << label;
-          EXPECT_EQ(base.flips[f].interval, got.flips[f].interval) << label;
-        }
+                std::to_string(jobs));
       }
     }
-  }
-}
-
-TEST(Runner, EveryTechniqueBufferedDrawsMatchPerCallDraws) {
-  // The batched-RNG contract end to end: pre-drawing uniform words into
-  // a buffer (TVP_RNG_BUFFER > 1) must leave every technique's trigger
-  // sequence bit-identical to per-call draws (TVP_RNG_BUFFER=1), at
-  // every batch size. Same tiny system as the batch-equivalence test.
-  SimConfig cfg;
-  cfg.geometry.banks_per_rank = 4;
-  cfg.geometry.rows_per_bank = 16384;
-  cfg.timing.t_refw_ps = 2'000'000'000;  // 2 ms window
-  cfg.timing.refresh_intervals = 256;    // keeps tREFI at ~7.8 us
-  cfg.windows = 1;
-  cfg.workload.benign_acts_per_interval_per_bank = 5.0;
-  cfg.technique.flip_threshold = 4000;
-  cfg.disturbance.flip_threshold = 3000;
-  trace::AttackConfig attack;
-  attack.victims = {1000, 5000};
-  attack.rows_per_bank = cfg.geometry.rows_per_bank;
-  attack.interarrival_ps = 180'000;
-  cfg.workload.attacks.push_back(attack);
-  cfg.finalize();
-
-  std::unordered_set<std::uint64_t> aggressors;
-  util::Rng workload_rng = util::Rng(cfg.seed).fork();
-  const auto records =
-      trace::drain(*build_workload(cfg, workload_rng, &aggressors));
-  ASSERT_FALSE(records.empty());
-
-  std::vector<std::pair<std::string, mem::BankMitigationFactory>> variants;
-  variants.emplace_back("none", [](dram::BankId, util::Rng) {
-    return std::make_unique<mem::NoMitigation>();
-  });
-  for (const auto t : hw::kAllTechniques)
-    variants.emplace_back(std::string(hw::to_string(t)),
-                          make_factory(t, cfg.technique));
-  mitigation::GrapheneConfig graphene_cfg;
-  graphene_cfg.rows_per_bank = cfg.geometry.rows_per_bank;
-  graphene_cfg.row_threshold = cfg.technique.counter_threshold();
-  variants.emplace_back("Graphene",
-                        mitigation::make_graphene_factory(graphene_cfg));
-
-  for (const auto& [name, factory] : variants) {
-    ASSERT_EQ(setenv("TVP_RNG_BUFFER", "1", 1), 0);  // per-call draws
-    const FeedOutcome base =
-        feed_outcome(cfg, factory, 1, 1, &aggressors, records);
-    for (const char* capacity : {"256", "4096"}) {
-      ASSERT_EQ(setenv("TVP_RNG_BUFFER", capacity, 1), 0);
-      for (const std::size_t batch : {1ul, 7ul, 256ul, 4096ul}) {
-        const FeedOutcome got =
-            feed_outcome(cfg, factory, batch, 1, &aggressors, records);
-        const std::string label = name + " rng_buffer " + capacity +
-                                  " batch " + std::to_string(batch);
-        EXPECT_EQ(base.stats.demand_acts, got.stats.demand_acts) << label;
-        EXPECT_EQ(base.stats.extra_acts, got.stats.extra_acts) << label;
-        EXPECT_EQ(base.stats.fp_extra_acts, got.stats.fp_extra_acts) << label;
-        EXPECT_EQ(base.stats.triggers, got.stats.triggers) << label;
-        EXPECT_EQ(base.stats.first_extra_act_at, got.stats.first_extra_act_at)
-            << label;
-        EXPECT_EQ(base.stats.extra_acts_by_phase, got.stats.extra_acts_by_phase)
-            << label;
-        EXPECT_EQ(base.activations, got.activations) << label;
-        EXPECT_EQ(base.peak_q8, got.peak_q8) << label;
-        ASSERT_EQ(base.flips.size(), got.flips.size()) << label;
-        for (std::size_t f = 0; f < base.flips.size(); ++f) {
-          EXPECT_EQ(base.flips[f].bank, got.flips[f].bank) << label;
-          EXPECT_EQ(base.flips[f].row, got.flips[f].row) << label;
-          EXPECT_EQ(base.flips[f].at_activation, got.flips[f].at_activation)
-              << label;
-        }
-      }
-    }
-    unsetenv("TVP_RNG_BUFFER");
   }
 }
 
@@ -708,6 +775,24 @@ TEST(ConfigIo, GeometryAndWindowKeysRejectNegativeAndZero) {
   for (const char* key : {"geometry.banks", "geometry.rows_per_bank", "windows"})
     for (const char* v : {"-1", "0", "4294967296"})
       expect_config_error(std::string(key) + " = " + v, key);
+}
+
+TEST(ConfigIo, RowTotalIsBoundedBeforeTheDenseCountersAreSized) {
+  // 2^31 rows fits get_u32 and is a power of two, so only the row-total
+  // bound stops it; apply_config sizes nothing, so no counters are
+  // allocated on the way to the error.
+  expect_config_error("geometry.banks = 1\ngeometry.rows_per_bank = 2147483648",
+                      "geometry.rows_per_bank");
+  expect_config_error("geometry.banks = 256\ngeometry.rows_per_bank = 131072",
+                      "geometry.banks");
+  // The largest checked-in geometry (TVP_SCALE=full: 16 banks x 2^17
+  // rows) and the bound itself still load.
+  for (const char* text : {"geometry.banks = 16\ngeometry.rows_per_bank = 131072",
+                           "geometry.banks = 128\ngeometry.rows_per_bank = 131072"}) {
+    SimConfig config;
+    EXPECT_NO_THROW(apply_config(config, util::KeyValueFile::parse(text)))
+        << text;
+  }
 }
 
 TEST(ConfigIo, DisturbanceAndActNKeysRejectOutOfRange) {

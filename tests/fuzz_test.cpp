@@ -3,7 +3,6 @@
 // sequences, and the full pipeline must be byte-stable (determinism).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <deque>
 #include <map>
 #include <optional>
@@ -357,62 +356,6 @@ TEST(Fuzz, RandomConfigurationsKeepInvariants) {
         << "trial " << trial;
     EXPECT_EQ(r.flips, r.flip_events.size());
   }
-}
-
-// ------------------------------------------- buffered vs per-call draws
-
-TEST(Fuzz, BufferedRngStreamMatchesBareRngAtEveryCapacity) {
-  // The batched-draw contract at the stream level: a BufferedRng must
-  // hand out the exact word sequence of the bare generator it wraps —
-  // for every derived draw (below's rejection loop, bernoulli_q32's
-  // draw-nothing endpoints, uniform) and for any buffer capacity,
-  // including 1 (which degenerates to per-call draws).
-  for (const char* capacity : {"1", "7", "256", "4096"}) {
-    ASSERT_EQ(setenv("TVP_RNG_BUFFER", capacity, 1), 0);
-    util::Rng control(20240 + capacity[0]);
-    util::Rng bare(777);
-    util::BufferedRng buffered{util::Rng(777)};
-    for (int op = 0; op < 20000; ++op) {
-      switch (control.below(5)) {
-        case 0: {
-          ASSERT_EQ(bare.next(), buffered.next()) << "cap " << capacity
-                                                  << " op " << op;
-          break;
-        }
-        case 1: {
-          // Awkward bounds keep Lemire's rejection loop exercised.
-          const std::uint64_t bound = control.below(3) == 0
-                                          ? (~0ull >> control.below(8)) | 1
-                                          : 1 + control.below(1000);
-          ASSERT_EQ(bare.below(bound), buffered.below(bound))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        case 2: {
-          // Hits both draw-nothing endpoints and the middle.
-          const std::uint64_t q32 = control.below(3) == 0
-                                        ? (control.below(2) << 32)
-                                        : control.below(1ull << 32);
-          ASSERT_EQ(bare.bernoulli_q32(q32), buffered.bernoulli_q32(q32))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        case 3: {
-          ASSERT_EQ(bare.uniform(), buffered.uniform())
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-        default: {
-          const std::uint64_t lo = control.below(100);
-          const std::uint64_t hi = lo + control.below(1000);
-          ASSERT_EQ(bare.between(lo, hi), buffered.between(lo, hi))
-              << "cap " << capacity << " op " << op;
-          break;
-        }
-      }
-    }
-  }
-  unsetenv("TVP_RNG_BUFFER");
 }
 
 // ------------------------------------------------- merge vs offline sort

@@ -25,10 +25,14 @@ class Probe final : public IBankMitigation {
   Probe(dram::BankId bank, Shared* shared) : bank_(bank), shared_(shared) {}
 
   const char* name() const noexcept override { return "probe"; }
-  void on_activate(dram::RowId row, const MitigationContext&,
-                   ActionBuffer& out) override {
-    shared_->activates.emplace_back(bank_, row);
-    for (const auto& a : shared_->respond_with) out.push_back(a);
+  void on_activates(const dram::RowId* rows, std::size_t n,
+                    const MitigationContext&, ActionBuffer& out) override {
+    for (std::size_t i = 0; i < n; ++i) {
+      shared_->activates.emplace_back(bank_, rows[i]);
+      const std::size_t before = out.size();
+      for (const auto& a : shared_->respond_with) out.push_back(a);
+      out.stamp_origin(before, static_cast<std::uint32_t>(i));
+    }
   }
   void on_refresh(const MitigationContext& ctx, ActionBuffer&) override {
     shared_->refreshes.emplace_back(bank_, ctx.interval_in_window);
@@ -214,11 +218,11 @@ TEST(Controller, FirstExtraActRecorded) {
 }
 
 TEST(Controller, HotPathIsAllocationFreeInSteadyState) {
-  // The engine owns one scratch ActionBuffer that is cleared and reused
-  // on every dispatch. Emit more actions per ACT than the initial
-  // capacity so the buffer has to grow once, then verify the capacity
-  // never moves again — i.e. the steady state performs no heap
-  // allocation per record.
+  // The engine owns one scratch ActionBuffer per bank that is cleared
+  // and reused on every lane dispatch. Emit more actions per ACT than
+  // the initial capacity so each buffer has to grow once, then verify
+  // the capacities never move again — i.e. the steady state performs
+  // no heap allocation per record.
   Rig rig;
   std::vector<MitigationAction> burst;
   for (dram::RowId r = 200; r < 200 + 3 * ActionBuffer::kInitialCapacity; ++r)
@@ -226,14 +230,19 @@ TEST(Controller, HotPathIsAllocationFreeInSteadyState) {
   rig.shared->respond_with = burst;
 
   std::uint64_t t = 100;
-  for (int i = 0; i < 16; ++i, t += 100) rig.controller.on_record(rec(t, 0, 5));
-  const std::size_t settled = rig.engine.scratch().capacity();
-  EXPECT_GE(settled, burst.size());
+  for (int i = 0; i < 16; ++i, t += 100)
+    rig.controller.on_record(rec(t, i % 2, 5));
+  const std::size_t settled0 = rig.engine.bank_scratch(0).capacity();
+  const std::size_t settled1 = rig.engine.bank_scratch(1).capacity();
+  EXPECT_GE(settled0, burst.size());
+  EXPECT_GE(settled1, burst.size());
 
   for (int i = 0; i < 4096; ++i, t += 100)
     rig.controller.on_record(rec(t, i % 2, 5 + (i % 64)));
-  EXPECT_EQ(rig.engine.scratch().capacity(), settled);
-  EXPECT_EQ(rig.engine.scratch().size(), burst.size());  // last dispatch
+  EXPECT_EQ(rig.engine.bank_scratch(0).capacity(), settled0);
+  EXPECT_EQ(rig.engine.bank_scratch(1).capacity(), settled1);
+  // The last record went to bank 1 alone: its lane held one ACT.
+  EXPECT_EQ(rig.engine.bank_scratch(1).size(), burst.size());
 }
 
 TEST(Controller, BatchedRecordsMatchRecordAtATime) {

@@ -109,12 +109,8 @@ Result run_variant(const std::string& name,
     const trace::AccessRecord* span = nullptr;
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
-    while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks)) {
-      if (lanes != nullptr)
-        controller.on_records_partitioned(span, n, lanes, lane_banks);
-      else
-        controller.on_records(span, n);
-    }
+    while (const std::size_t n = source.span_lanes(&span, &lanes, &lane_banks))
+      controller.on_records_partitioned(span, n, lanes, lane_banks);
   } else {
     for (std::size_t i = 0; i < trace.size(); i += batch) {
       const std::size_t n = std::min(batch, trace.size() - i);

@@ -223,18 +223,16 @@ RunResult run_custom_simulation(const mem::BankMitigationFactory& factory,
     // Zero-copy feed: the controller consumes the source's own storage
     // (for a corpus replay, the mmap'd page cache) span by span. When
     // the span comes with precomputed bank lanes (a corpus with a
-    // partition index), the controller skips its own scatter pass; the
-    // record sequence is identical either way, and on_records is
+    // partition index), the controller skips its own scatter pass;
+    // without them on_records_partitioned scatters like on_records. The
+    // record sequence is identical either way, and the controller is
     // chunking-invariant, so results stay bit-identical.
     const trace::AccessRecord* span = nullptr;
     const trace::BankLaneView* lanes = nullptr;
     std::size_t lane_banks = 0;
     while (const std::size_t n =
                workload->span_lanes(&span, &lanes, &lane_banks)) {
-      if (lanes != nullptr)
-        controller.on_records_partitioned(span, n, lanes, lane_banks);
-      else
-        controller.on_records(span, n);
+      controller.on_records_partitioned(span, n, lanes, lane_banks);
       result.records += n;
     }
   } else {

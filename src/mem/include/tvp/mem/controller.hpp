@@ -64,7 +64,6 @@ struct ControllerConfig {
   dram::RefreshPolicy refresh_policy = dram::RefreshPolicy::kNeighborSequential;
   std::size_t remap_swaps = 16;     ///< spare-row swaps (policy (ii) & remapper)
   bool remap_rows = false;          ///< enable logical->physical remapping
-  bool enforce_timing = true;       ///< stall ACTs that violate tRC/tRFC
   /// How far the act_n command reaches: 1 activates the two adjacent
   /// rows (the paper's command); 2 additionally restores the rows at
   /// distance two — the countermeasure to half-double-style attacks
@@ -92,12 +91,12 @@ struct ControllerConfig {
 /// skipped the re-partition pass. technique_ns and replay_ns are summed
 /// over bank shards, so with bank_jobs > 1 they are CPU time, not wall.
 struct StageProfile {
-  std::uint64_t partition_ns = 0;    ///< per-bank lane scatter (+ validation)
+  std::uint64_t partition_ns = 0;    ///< on_records' lane scatter (+ validation)
   std::uint64_t technique_ns = 0;    ///< technique kernels (engine on_activates)
   std::uint64_t replay_ns = 0;       ///< per-ACT replay: timing, remap, disturbance, extras
   std::uint64_t disturbance_ns = 0;  ///< serial reduce + flip re-sequencing/commit
-  std::uint64_t scattered_acts = 0;    ///< ACTs partitioned by the controller
-  std::uint64_t partitioned_acts = 0;  ///< ACTs fed from pre-built corpus lanes
+  std::uint64_t scattered_acts = 0;    ///< records partitioned by the controller
+  std::uint64_t partitioned_acts = 0;  ///< records fed from pre-built corpus lanes
 };
 
 /// Ground-truth oracle: is @p suspect row of @p bank a real aggressor?
@@ -115,29 +114,33 @@ class MemoryController {
   void on_record(const trace::AccessRecord& record) { on_records(&record, 1); }
 
   /// Feeds a batch of requests; records must arrive in non-decreasing
-  /// time order (throws std::invalid_argument otherwise, after the valid
-  /// prefix has been processed).
+  /// time order with bank and row in range. A record that breaks either
+  /// rule throws (std::invalid_argument for time order, std::out_of_range
+  /// for the address) after the valid prefix before it has been
+  /// processed, exactly as a record-at-a-time feed would have left it:
+  /// for a bad address, that includes the refresh ticks up to the bad
+  /// record's time.
   ///
-  /// The batch is split into *refresh segments* (maximal runs that cross
-  /// no refresh boundary, so the mitigation context is constant), each
-  /// segment is partitioned once into per-bank SoA lanes (contiguous
-  /// row / timestamp / sequence columns), and every bank's lane is
-  /// handed to its technique in one on_activates call — concurrently
-  /// across banks when cfg.bank_jobs > 1. The observable result (stats,
-  /// disturbance state, flip events, RNG streams) does not depend on how
-  /// the stream is cut into batches or on bank_jobs, and equals the
-  /// record-at-a-time semantics the scalar reference controller in
-  /// tests/ spells out; see DESIGN.md "The ACT hot path".
+  /// The batch's addresses are validated up front; the segment walk then
+  /// cuts the stream into *refresh segments* (maximal runs that cross no
+  /// refresh boundary, so the mitigation context is constant), scatters
+  /// each segment once into per-bank SoA lanes (contiguous row /
+  /// timestamp / serial / write columns) and hands every bank's lane to
+  /// its technique in one on_activates call — concurrently across banks
+  /// when cfg.bank_jobs > 1. The observable result (stats, disturbance
+  /// state, flip events, RNG streams) does not depend on how the stream
+  /// is cut into batches or on bank_jobs, and equals the record-at-a-time
+  /// semantics the scalar reference controller in tests/ spells out; see
+  /// DESIGN.md "The ACT hot path".
   void on_records(const trace::AccessRecord* records, std::size_t count);
 
   /// Like on_records, but with the per-bank partition pre-computed (a
   /// corpus-carried partition index): @p lanes holds @p lane_banks
   /// column views whose serials are indices into @p records. When the
-  /// lanes are usable (bank count matches the geometry, every lane row
-  /// is in range) the controller feeds them zero-copy and skips the
-  /// scatter pass; otherwise it falls back to on_records — same
-  /// observable results either way, including the out-of-range throw
-  /// semantics.
+  /// lanes are usable (non-null, bank count matches the geometry, every
+  /// lane row is in range) the segment walk borrows them zero-copy and
+  /// skips the scatter pass; otherwise this is on_records — same
+  /// observable results either way, including the throw semantics.
   void on_records_partitioned(const trace::AccessRecord* records,
                               std::size_t count,
                               const trace::BankLaneView* lanes,
@@ -163,66 +166,80 @@ class MemoryController {
   std::uint64_t global_interval() const noexcept { return global_interval_; }
 
  private:
-  /// Per-bank working state of one refresh segment. Cache-line aligned
-  /// and written only by the worker that owns the bank, so concurrent
-  /// shards never share a written line.
-  ///
-  /// The lane_* pointers are the columnar view run_bank_shard consumes:
-  /// on the scatter path they point into the shard-owned column vectors
-  /// (serial_base 0); on the corpus-partitioned path they borrow the
-  /// mmap'd partition columns directly (serials are span-relative, so
-  /// serial_base rebases them to the segment).
-  struct alignas(64) BankShard {
-    // Scatter-built columns (SoA; filled by the partition pass).
-    std::vector<std::uint32_t> serials;   ///< segment-serial per record
-    std::vector<dram::RowId> rows;        ///< logical row per record
-    std::vector<std::uint64_t> times;     ///< time_ps per record
-    std::vector<std::uint8_t> write_col;  ///< write flag per record
-    /// Records that issued mitigation activations: (segment serial,
-    /// extra activation count). Every other record performs exactly one.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> extras;
-    // The lane view actually consumed (owned columns or borrowed corpus
-    // partition columns).
-    const dram::RowId* lane_rows = nullptr;
-    const std::uint64_t* lane_times = nullptr;
-    const std::uint32_t* lane_serials = nullptr;
-    const std::uint8_t* lane_writes = nullptr;
-    std::size_t lane_count = 0;
-    std::uint32_t serial_base = 0;
-    dram::DisturbanceModel::Lane lane;
-    // Per-segment outputs, folded into stats_ by the serial reduce.
+  static constexpr std::uint64_t kNoTrigger = ~0ull;
+
+  /// What one bank's walk accumulates over a region (a refresh segment,
+  /// or the actions of one REF); commit_region folds it into stats_.
+  struct Tally {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t delayed = 0;
     std::uint64_t triggers = 0;
     std::uint64_t extra = 0;
     std::uint64_t fp_extra = 0;
-    std::uint64_t first_trigger_serial = 0;  ///< UINT64_MAX = none
-    std::uint64_t bank_ready_ps = 0;
+    std::uint64_t first_trigger = kNoTrigger;  ///< its serial; or none
+  };
+
+  /// Per-bank working state. Cache-line aligned and written only by the
+  /// worker that owns the bank, so concurrent shards never share a
+  /// written line.
+  struct alignas(64) BankShard {
+    // Scatter-built columns (SoA; filled per segment by scatter()).
+    std::vector<std::uint32_t> serials;   ///< batch-serial per record
+    std::vector<dram::RowId> rows;        ///< logical row per record
+    std::vector<std::uint64_t> times;     ///< time_ps per record
+    std::vector<std::uint8_t> write_col;  ///< write flag per record
+    /// The bank's lane of the current batch — the owned columns above or
+    /// borrowed corpus partition columns; serials index the batch — and
+    /// the walk's position in it.
+    trace::BankLaneView view;
+    std::size_t cursor = 0;
+    /// Serials of the current region that issued mitigation
+    /// activations: (serial, mitigation activations).
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> extras;
+    dram::DisturbanceModel::Lane lane;
+    Tally tally;
+    std::uint64_t ready_ps = 0;      ///< earliest next ACT (tRC / tRFC)
     std::uint64_t technique_ns = 0;  ///< profiling only
     std::uint64_t replay_ns = 0;     ///< profiling only
   };
 
+  void check_order(std::uint64_t time_ps) const;
   void process_refresh_boundaries(std::uint64_t up_to_ps);
   void refresh_interval_tick();
-  void issue_actions(dram::BankId bank, const ActionBuffer& actions,
-                     std::uint32_t interval);
-  void activate_physical(dram::BankId bank, dram::RowId physical_row,
-                         std::uint32_t interval);
-  /// Runs one refresh segment (no boundary inside): partition into
-  /// per-bank lanes, per-bank lane dispatch + replay (parallel when
-  /// configured), then the serial reduce into stats_ / the disturbance
-  /// model.
-  void process_segment(const trace::AccessRecord* records, std::size_t count);
-  /// Shard reset common to both segment paths.
-  void reset_shards();
-  /// The shared back half of a segment: run every bank shard (pool or
-  /// serial), then the serial reduce + flip commit. @p valid is the
-  /// segment's record count.
-  void run_segment(std::size_t valid, const MitigationContext& ctx);
-  /// The per-bank half of a segment (runs on a worker thread), driven
-  /// entirely by the shard's lane_* columns.
-  void run_bank_shard(dram::BankId bank, const MitigationContext& ctx);
+  /// The segment walk: the time-order check, refresh-boundary
+  /// processing and the segment cut over @p records, running every
+  /// segment over the shards' lane views. With @p scatter_segments the
+  /// walk builds those views itself, one segment at a time (columns the
+  /// size of a segment stay in L1; a whole batch's would not); without,
+  /// they are the borrowed corpus lanes.
+  void walk(const trace::AccessRecord* records, std::size_t count,
+            bool scatter_segments);
+  /// The partition pass: scatters records [@p begin, @p end) into the
+  /// shards' owned columns (serials index @p records) and points every
+  /// shard's lane view at them.
+  void scatter(const trace::AccessRecord* records, std::size_t begin,
+               std::size_t end);
+  /// The per-bank half of segment [@p begin, @p end) of the batch (runs
+  /// on a worker thread): the bank's slice of its lane view through the
+  /// technique, the timing, the remap and the disturbance kernel.
+  void run_bank_shard(dram::BankId bank, const MitigationContext& ctx,
+                      std::size_t begin, std::size_t end);
+  /// The one action-issue body: performs @p act's activations on
+  /// @p bank through @p kernel (each a tRC on @p ready_ps, each tagged
+  /// (@p serial, offset++) for flip re-sequencing) and tallies the
+  /// trigger, its cost and the oracle's verdict.
+  void issue(dram::BankId bank, const MitigationAction& act,
+             dram::DisturbanceModel::Kernel& kernel, std::uint32_t interval,
+             std::uint32_t serial, std::uint32_t& offset,
+             std::uint64_t& ready_ps, Tally& tally) const;
+  /// The serial reduce of a region with @p serials serial tags: folds
+  /// every shard's tally into stats_ (phase bin of @p interval,
+  /// first_extra_act_at), re-sequences and commits the disturbance
+  /// lanes, and clears the shards for the next region. @p demand says
+  /// each serial is a record with its demand ACT at offset 0 (a
+  /// segment), not a bank's REF actions alone.
+  void commit_region(std::size_t serials, bool demand, std::uint32_t interval);
 
   ControllerConfig cfg_;
   dram::Timing timing_;
@@ -236,7 +253,6 @@ class MemoryController {
   std::uint64_t now_ps_ = 0;
   std::uint64_t global_interval_ = 0;      // intervals completed so far
   std::uint64_t next_refresh_ps_;          // time of the next REF command
-  std::vector<std::uint64_t> bank_ready_ps_;
   std::vector<std::uint32_t> interval_acts_;  // per-bank ACTs this interval
 
   // Batched hot-path scratch (reused across segments; steady-state
@@ -244,7 +260,6 @@ class MemoryController {
   std::vector<BankShard> shards_;
   std::vector<dram::DisturbanceModel::Lane*> lane_ptrs_;
   std::vector<std::uint64_t> act_prefix_;  // per-serial activation prefix sums
-  std::vector<std::size_t> lane_cursor_;   // per-bank position in corpus lanes
   std::unique_ptr<util::WorkerPool> pool_;  // only when bank_jobs > 1
   StageProfile profile_;
 };

@@ -703,7 +703,7 @@ void MmapSource::fail(const std::string& what) const { corrupt(path_, what); }
 // Loads block @p index and points span_ at its records. Raw blocks in
 // mapped mode hand out the mapped bytes themselves (zero-copy);
 // everything else decodes into scratch_.
-bool MmapSource::load_block(std::size_t index) {
+void MmapSource::load_block(std::size_t index) {
   const CorpusBlockInfo& b = info_.blocks[index];
   const std::uint64_t payload_offset = b.offset + kBlockHeaderBytes;
   const std::uint64_t raw_bytes = std::uint64_t{b.records} * kRecordBytes;
@@ -778,44 +778,24 @@ bool MmapSource::load_block(std::size_t index) {
   }
   span_len_ = b.records;
   span_pos_ = 0;
-  return span_len_ > 0;
 }
 
-std::optional<AccessRecord> MmapSource::next() {
+bool MmapSource::fill() {
   while (span_pos_ >= span_len_) {
-    if (block_ >= info_.blocks.size()) return std::nullopt;
+    if (block_ >= info_.blocks.size()) return false;
     load_block(block_++);
   }
-  return span_[span_pos_++];
+  return true;
 }
 
 std::size_t MmapSource::next_batch(AccessRecord* out, std::size_t max) {
   std::size_t n = 0;
-  while (n < max) {
-    if (span_pos_ >= span_len_) {
-      if (block_ >= info_.blocks.size()) break;
-      load_block(block_++);
-      continue;
-    }
+  while (n < max && fill()) {
     const std::size_t take = std::min(max - n, span_len_ - span_pos_);
     std::memcpy(out + n, span_ + span_pos_, take * kRecordBytes);
     span_pos_ += take;
     n += take;
   }
-  return n;
-}
-
-std::size_t MmapSource::next_span(const AccessRecord** data) {
-  while (span_pos_ >= span_len_) {
-    if (block_ >= info_.blocks.size()) {
-      *data = nullptr;
-      return 0;
-    }
-    load_block(block_++);
-  }
-  *data = span_ + span_pos_;
-  const std::size_t n = span_len_ - span_pos_;
-  span_pos_ = span_len_;
   return n;
 }
 
@@ -896,14 +876,22 @@ bool MmapSource::prepare_lanes(std::size_t index) {
 std::size_t MmapSource::span_lanes(const AccessRecord** data,
                                    const BankLaneView** lanes,
                                    std::size_t* lane_banks) {
-  *lanes = nullptr;
-  *lane_banks = 0;
+  if (lanes != nullptr) {
+    *lanes = nullptr;
+    *lane_banks = 0;
+  }
   // Lanes describe whole blocks: only a span starting at a block
-  // boundary gets them (a tail left by next()/next_batch() does not —
-  // its serials would be off by the consumed prefix).
+  // boundary gets them (a tail left by next_batch() does not — its
+  // serials would be off by the consumed prefix).
   const bool fresh_block = span_pos_ >= span_len_;
-  const std::size_t n = next_span(data);
-  if (n != 0 && fresh_block && prepare_lanes(block_ - 1)) {
+  if (!fill()) {
+    *data = nullptr;
+    return 0;
+  }
+  *data = span_ + span_pos_;
+  const std::size_t n = span_len_ - span_pos_;
+  span_pos_ = span_len_;
+  if (lanes != nullptr && fresh_block && prepare_lanes(block_ - 1)) {
     *lanes = lanes_.data();
     *lane_banks = info_.partition_banks;
   }

@@ -75,7 +75,6 @@ class AttackSource final : public TraceSource {
  public:
   explicit AttackSource(AttackConfig config);
 
-  std::optional<AccessRecord> next() override { return next_via_batch(); }
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
   /// Hammered aggressor rows (the far rows for kHalfDouble).

@@ -173,7 +173,7 @@ class CorpusWriter {
 struct CorpusMapping;
 
 /// Replays a corpus file as a TraceSource. The file is mapped read-only
-/// and raw blocks stream zero-copy through next_span(); when mmap is
+/// and raw blocks stream zero-copy through span_lanes(); when mmap is
 /// unavailable (or fails) the source falls back to pread()-based block
 /// reads transparently. Construction parses and validates the trailer,
 /// footer and file header; block payloads are CRC-checked on first
@@ -188,18 +188,18 @@ class MmapSource final : public TraceSource {
   MmapSource& operator=(const MmapSource&) = delete;
   ~MmapSource() override;
 
-  std::optional<AccessRecord> next() override;
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   bool supports_spans() const noexcept override { return true; }
-  std::size_t next_span(const AccessRecord** data) override;
-  /// Hands out the block's on-disk lane columns when the corpus carries
-  /// a partition index and the file is mapped (zero-copy: the lane
-  /// pointers are the page cache). The region is CRC-checked and
-  /// cross-checked record-by-record against the block payload on first
-  /// touch (trust-after-verify, shared like the block bits); any
-  /// disagreement is a precise error, never a silent fallback. Lanes
-  /// are only offered for whole blocks — a span started by next() /
-  /// next_batch() finishes without them.
+  /// Hands out the rest of the current block (zero-copy for raw blocks
+  /// of a mapped file). When lanes are wanted, the corpus carries a
+  /// partition index and the file is mapped, the block's on-disk lane
+  /// columns come with it (zero-copy: the lane pointers are the page
+  /// cache). The region is CRC-checked and cross-checked
+  /// record-by-record against the block payload on first touch
+  /// (trust-after-verify, shared like the block bits); any disagreement
+  /// is a precise error, never a silent fallback. Lanes are only
+  /// offered for whole blocks — a span started by next_batch() finishes
+  /// without them.
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 
@@ -215,7 +215,10 @@ class MmapSource final : public TraceSource {
   bool mapped() const noexcept { return base_ != nullptr; }
 
  private:
-  bool load_block(std::size_t index);
+  /// Loads the next block while the current one is consumed; false at
+  /// the end of the stream.
+  bool fill();
+  void load_block(std::size_t index);
   bool prepare_lanes(std::size_t index);
   void fail(const std::string& what) const;
 

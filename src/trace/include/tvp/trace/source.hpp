@@ -4,12 +4,11 @@
 // TraceSource; MergedSource interleaves any number of them into one
 // time-ordered stream, which is what the memory controller consumes.
 //
-// Batch first: next_batch() is the primitive the simulator pulls
-// through. The generated-workload sources (SyntheticSource,
-// AttackSource, MergedSource, LimitSource) have exactly one generation
-// body, their batch kernel; their next() is a one-record next_batch()
-// call into it. Sources whose records already sit in memory
-// (VectorSource, MmapSource) additionally lend zero-copy spans.
+// Batch first: next_batch() is the one copying body of every source
+// and span_lanes() the one zero-copy body of the sources whose records
+// already sit in memory (VectorSource, MmapSource, and LimitSource over
+// either). next() and next_span() are non-virtual adapters in the base:
+// a one-record next_batch() and a lane-less span_lanes().
 #pragma once
 
 #include <memory>
@@ -26,17 +25,21 @@ class TraceSource {
  public:
   virtual ~TraceSource() = default;
 
-  /// Next record, or nullopt when the stream is exhausted.
-  virtual std::optional<AccessRecord> next() = 0;
-
   /// Fills @p out with up to @p max records and returns the count. The
-  /// record sequence is exactly the one next() would produce, for any
-  /// split into batches. A count below @p max means the stream is
-  /// exhausted (0 on every later call); consumers such as LimitSource
-  /// rely on that. The base implementation loops next().
-  virtual std::size_t next_batch(AccessRecord* out, std::size_t max);
+  /// record sequence does not depend on how it is split into batches. A
+  /// count below @p max means the stream is exhausted (0 on every later
+  /// call); consumers such as LimitSource and drain() rely on that.
+  virtual std::size_t next_batch(AccessRecord* out, std::size_t max) = 0;
 
-  /// True when next_span() is cheaper than next_batch() for this
+  /// Next record, or nullopt when the stream is exhausted: a one-record
+  /// next_batch().
+  std::optional<AccessRecord> next() {
+    AccessRecord rec;
+    if (next_batch(&rec, 1) == 0) return std::nullopt;
+    return rec;
+  }
+
+  /// True when span_lanes() is cheaper than next_batch() for this
   /// source — i.e. the records already live in memory and the source
   /// can hand out a borrowed view instead of copying.
   virtual bool supports_spans() const noexcept { return false; }
@@ -46,32 +49,24 @@ class TraceSource {
   /// (0 = exhausted). The span stays valid until the next call on this
   /// source. Span lengths are an implementation detail (block-sized for
   /// mmap'd corpora, the whole tail for vectors); the concatenation of
-  /// all spans is exactly the next() sequence. Only meaningful when
-  /// supports_spans() is true; the base implementation returns 0.
-  virtual std::size_t next_span(const AccessRecord** data);
-
-  /// Like next_span(), but additionally offers the span's per-bank
-  /// column lanes when the source has them precomputed (a corpus with a
-  /// partition index): on return *lanes either points at @p lane_banks
-  /// BankLaneView entries — one per bank, serials relative to the
-  /// returned span, valid until the next call — or is null, meaning the
-  /// consumer partitions the span itself. Lanes are an optimization,
-  /// never a semantic: the record span is identical either way. The
-  /// base implementation forwards to next_span() with no lanes.
+  /// all spans is exactly the next_batch() sequence. Only meaningful
+  /// when supports_spans() is true; the base implementation returns 0.
+  ///
+  /// When the source has the span's per-bank column lanes precomputed
+  /// (a corpus with a partition index), *lanes points at @p lane_banks
+  /// BankLaneView entries on return — one per bank, serials relative to
+  /// the returned span, valid until the next call; otherwise *lanes is
+  /// null and the consumer partitions the span itself. Lanes are an
+  /// optimization, never a semantic: the record span is identical
+  /// either way. Null @p lanes and @p lane_banks mean "no lanes
+  /// wanted": the source then neither builds nor verifies any.
   virtual std::size_t span_lanes(const AccessRecord** data,
                                  const BankLaneView** lanes,
-                                 std::size_t* lane_banks) {
-    *lanes = nullptr;
-    *lane_banks = 0;
-    return next_span(data);
-  }
+                                 std::size_t* lane_banks);
 
- protected:
-  /// next() of a batch-native source: one record through next_batch().
-  std::optional<AccessRecord> next_via_batch() {
-    AccessRecord rec;
-    if (next_batch(&rec, 1) == 0) return std::nullopt;
-    return rec;
+  /// span_lanes() without lanes.
+  std::size_t next_span(const AccessRecord** data) {
+    return span_lanes(data, nullptr, nullptr);
   }
 };
 
@@ -80,12 +75,13 @@ class TraceSource {
 class VectorSource final : public TraceSource {
  public:
   explicit VectorSource(std::vector<AccessRecord> records);
-  std::optional<AccessRecord> next() override;
   /// Bulk copy out of the backing vector (one virtual call per batch).
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
   bool supports_spans() const noexcept override { return true; }
-  /// Hands out the whole unconsumed tail of the vector in one span.
-  std::size_t next_span(const AccessRecord** data) override;
+  /// Hands out the whole unconsumed tail of the vector in one span
+  /// (never with lanes).
+  std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
+                         std::size_t* lane_banks) override;
 
  private:
   std::vector<AccessRecord> records_;
@@ -116,7 +112,6 @@ class MergedSource final : public TraceSource {
   static constexpr std::size_t kBlockRecords = 256;
 
   explicit MergedSource(std::vector<std::unique_ptr<TraceSource>> sources);
-  std::optional<AccessRecord> next() override { return next_via_batch(); }
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 
  private:
@@ -146,7 +141,6 @@ class LimitSource final : public TraceSource {
  public:
   LimitSource(std::unique_ptr<TraceSource> inner, std::uint64_t limit_records,
               std::uint64_t end_ps);
-  std::optional<AccessRecord> next() override { return next_via_batch(); }
   /// Forwards to the inner source's batch path and applies the record
   /// limit and the time cut. The batch is time-sorted, so the cut is
   /// checked against its last record and searched for only when it
@@ -158,12 +152,10 @@ class LimitSource final : public TraceSource {
     return inner_->supports_spans();
   }
   /// Borrows the inner span and trims it to the record/time limits
-  /// (identical cut-off to next(); the trim is a partition_point on the
-  /// time-sorted span, not a copy).
-  std::size_t next_span(const AccessRecord** data) override;
-  /// Passes the inner source's lanes through for untrimmed spans; a
-  /// trimmed span drops them (its lanes would reference records past
-  /// the cut).
+  /// (identical cut-off to next_batch(); the trim is a partition_point
+  /// on the time-sorted span, not a copy). Passes the inner source's
+  /// lanes through for untrimmed spans; a trimmed span drops them (its
+  /// lanes would reference records past the cut).
   std::size_t span_lanes(const AccessRecord** data, const BankLaneView** lanes,
                          std::size_t* lane_banks) override;
 

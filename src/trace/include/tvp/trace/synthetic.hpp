@@ -56,7 +56,6 @@ class SyntheticSource final : public TraceSource {
  public:
   SyntheticSource(SyntheticConfig config, util::Rng rng);
 
-  std::optional<AccessRecord> next() override { return next_via_batch(); }
   /// Infinite stream: always fills all @p max records.
   std::size_t next_batch(AccessRecord* out, std::size_t max) override;
 

@@ -5,18 +5,14 @@
 
 namespace tvp::trace {
 
-std::size_t TraceSource::next_batch(AccessRecord* out, std::size_t max) {
-  std::size_t n = 0;
-  while (n < max) {
-    auto rec = next();
-    if (!rec) break;
-    out[n++] = *rec;
-  }
-  return n;
-}
-
-std::size_t TraceSource::next_span(const AccessRecord** data) {
+std::size_t TraceSource::span_lanes(const AccessRecord** data,
+                                    const BankLaneView** lanes,
+                                    std::size_t* lane_banks) {
   *data = nullptr;
+  if (lanes != nullptr) {
+    *lanes = nullptr;
+    *lane_banks = 0;
+  }
   return 0;
 }
 
@@ -27,11 +23,6 @@ VectorSource::VectorSource(std::vector<AccessRecord> records)
       throw std::invalid_argument("VectorSource: records not time-sorted");
 }
 
-std::optional<AccessRecord> VectorSource::next() {
-  if (pos_ >= records_.size()) return std::nullopt;
-  return records_[pos_++];
-}
-
 std::size_t VectorSource::next_batch(AccessRecord* out, std::size_t max) {
   const std::size_t n = std::min(max, records_.size() - pos_);
   std::copy_n(records_.begin() + static_cast<std::ptrdiff_t>(pos_), n, out);
@@ -39,7 +30,13 @@ std::size_t VectorSource::next_batch(AccessRecord* out, std::size_t max) {
   return n;
 }
 
-std::size_t VectorSource::next_span(const AccessRecord** data) {
+std::size_t VectorSource::span_lanes(const AccessRecord** data,
+                                     const BankLaneView** lanes,
+                                     std::size_t* lane_banks) {
+  if (lanes != nullptr) {
+    *lanes = nullptr;
+    *lane_banks = 0;
+  }
   const std::size_t n = records_.size() - pos_;
   *data = n > 0 ? records_.data() + pos_ : nullptr;
   pos_ = records_.size();
@@ -139,50 +136,29 @@ std::size_t LimitSource::next_batch(AccessRecord* out, std::size_t max) {
   return got;
 }
 
-std::size_t LimitSource::next_span(const AccessRecord** data) {
-  *data = nullptr;
-  if (remaining_ == 0) return 0;
-  const AccessRecord* span = nullptr;
-  std::size_t got = inner_->next_span(&span);
-  if (got == 0) {
-    remaining_ = 0;
-    return 0;
-  }
-  // Trim at the time horizon first: spans are time-sorted, so the cut
-  // is the partition point of time_ps < end_ps_.
-  const AccessRecord* cut = std::partition_point(
-      span, span + got,
-      [this](const AccessRecord& r) { return r.time_ps < end_ps_; });
-  const bool time_cut = cut != span + got;
-  if (time_cut) got = static_cast<std::size_t>(cut - span);
-  if (got >= remaining_) {
-    got = static_cast<std::size_t>(remaining_);
-    remaining_ = 0;
-  } else {
-    // A time cut kills the stream even under the record limit.
-    remaining_ = time_cut ? 0 : remaining_ - got;
-  }
-  *data = got > 0 ? span : nullptr;
-  return got;
-}
-
 std::size_t LimitSource::span_lanes(const AccessRecord** data,
                                     const BankLaneView** lanes,
                                     std::size_t* lane_banks) {
   *data = nullptr;
-  *lanes = nullptr;
-  *lane_banks = 0;
+  const bool want_lanes = lanes != nullptr;
+  if (want_lanes) {
+    *lanes = nullptr;
+    *lane_banks = 0;
+  }
   if (remaining_ == 0) return 0;
   const AccessRecord* span = nullptr;
   const BankLaneView* inner_lanes = nullptr;
   std::size_t inner_banks = 0;
-  std::size_t got = inner_->span_lanes(&span, &inner_lanes, &inner_banks);
+  std::size_t got =
+      inner_->span_lanes(&span, want_lanes ? &inner_lanes : nullptr,
+                         want_lanes ? &inner_banks : nullptr);
   if (got == 0) {
     remaining_ = 0;
     return 0;
   }
   const std::size_t full = got;
-  // Same cut-off as next_span: time horizon first, then the record
+  // Trim at the time horizon first (spans are time-sorted, so the cut
+  // is the partition point of time_ps < end_ps_), then at the record
   // budget.
   const AccessRecord* cut = std::partition_point(
       span, span + got,
@@ -193,6 +169,7 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
     got = static_cast<std::size_t>(remaining_);
     remaining_ = 0;
   } else {
+    // A time cut kills the stream even under the record limit.
     remaining_ = time_cut ? 0 : remaining_ - got;
   }
   *data = got > 0 ? span : nullptr;
@@ -207,11 +184,15 @@ std::size_t LimitSource::span_lanes(const AccessRecord** data,
 }
 
 std::vector<AccessRecord> drain(TraceSource& source, std::size_t max_records) {
+  constexpr std::size_t kChunk = 4096;
   std::vector<AccessRecord> out;
   while (out.size() < max_records) {
-    auto rec = source.next();
-    if (!rec) break;
-    out.push_back(*rec);
+    const std::size_t at = out.size();
+    const std::size_t want = std::min(kChunk, max_records - at);
+    out.resize(at + want);
+    const std::size_t got = source.next_batch(out.data() + at, want);
+    out.resize(at + got);
+    if (got < want) break;
   }
   return out;
 }

@@ -162,6 +162,43 @@ TEST(Corpus, MmapSourceStreamsIdenticallyToEveryApi) {
   while (const std::size_t n = by_span.next_span(&span))
     via_span.insert(via_span.end(), span, span + n);
   EXPECT_EQ(via_span, records);
+
+  // LimitSource over a partitioned corpus, trimmed by the record budget,
+  // the time cut and both: next_span and span_lanes yield the same
+  // records, and lanes come only with untrimmed (whole-block) spans.
+  TempFile partitioned("apis_lanes");
+  options.partition_banks = 4;
+  write_corpus(partitioned.path(), records, options);
+  struct Cut {
+    std::uint64_t budget;
+    std::uint64_t end_ps;
+    std::size_t kept;
+  };
+  for (const Cut cut : {Cut{250, ~0ull, 250}, Cut{~0ull, 33'350, 334},
+                        Cut{260, 28'050, 260}, Cut{300, 25'050, 251}}) {
+    const std::vector<AccessRecord> expected(records.begin(),
+                                             records.begin() + cut.kept);
+    LimitSource by_next_span(std::make_unique<MmapSource>(partitioned.path()),
+                             cut.budget, cut.end_ps);
+    std::vector<AccessRecord> via_next_span;
+    while (const std::size_t n = by_next_span.next_span(&span))
+      via_next_span.insert(via_next_span.end(), span, span + n);
+    EXPECT_EQ(via_next_span, expected) << cut.kept;
+
+    LimitSource by_lanes(std::make_unique<MmapSource>(partitioned.path()),
+                         cut.budget, cut.end_ps);
+    std::vector<AccessRecord> via_lanes;
+    const BankLaneView* lanes = nullptr;
+    std::size_t lane_banks = 0;
+    while (const std::size_t n =
+               by_lanes.span_lanes(&span, &lanes, &lane_banks)) {
+      const bool whole_block = n == options.records_per_block;
+      EXPECT_EQ(lanes != nullptr, whole_block) << cut.kept;
+      EXPECT_EQ(lane_banks, whole_block ? 4u : 0u) << cut.kept;
+      via_lanes.insert(via_lanes.end(), span, span + n);
+    }
+    EXPECT_EQ(via_lanes, expected) << cut.kept;
+  }
 }
 
 TEST(Corpus, RewindReplaysIdentically) {
@@ -623,12 +660,10 @@ TEST(Corpus, PartitionedReplayFeedsLanesWithoutScatter) {
     std::size_t lane_banks = 0;
     while (const std::size_t n =
                source.span_lanes(&span, &lanes, &lane_banks)) {
-      if (partitioned) {
-        EXPECT_NE(lanes, nullptr);
-        controller.on_records_partitioned(span, n, lanes, lane_banks);
-      } else {
-        controller.on_records(span, n);
-      }
+      EXPECT_NE(lanes, nullptr);
+      // Null lanes take the scatter fallback.
+      controller.on_records_partitioned(span, n, partitioned ? lanes : nullptr,
+                                        partitioned ? lane_banks : 0);
     }
     return std::pair{controller.stats().demand_acts,
                      controller.stage_profile()};

@@ -2,8 +2,10 @@
 // cache-filtered trace front-end (the gem5 stand-in).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <set>
+#include <vector>
 
 #include "tvp/cpu/cache.hpp"
 #include "tvp/cpu/core.hpp"
@@ -196,6 +198,21 @@ TEST(Frontend, DeterministicForSameSeed) {
   CoreFrontend a(cfg, util::Rng(37));
   CoreFrontend b(cfg, util::Rng(37));
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(*a.next(), *b.next());
+
+  // next_batch is the generation body; next() is a one-record call into
+  // it. Any batch size yields the next() sequence.
+  std::vector<trace::AccessRecord> via_next(8192);
+  CoreFrontend by_next(cfg, util::Rng(37));
+  for (auto& r : via_next) r = *by_next.next();
+  for (const std::size_t size : {1ul, 7ul, 4096ul}) {
+    CoreFrontend by_batch(cfg, util::Rng(37));
+    std::vector<trace::AccessRecord> via_batch(via_next.size());
+    for (std::size_t at = 0; at < via_batch.size(); at += size) {
+      const std::size_t want = std::min(size, via_batch.size() - at);
+      ASSERT_EQ(by_batch.next_batch(via_batch.data() + at, want), want);
+    }
+    EXPECT_EQ(via_batch, via_next) << "batch " << size;
+  }
 }
 
 TEST(Frontend, PrefetcherAddsSequentialFills) {

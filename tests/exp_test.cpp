@@ -109,11 +109,9 @@ class ScalarReferenceController {
     refresh_up_to(now_ps_);
 
     const dram::BankId bank = record.bank;
-    if (cfg_.enforce_timing) {
-      if (bank_ready_ps_[bank] > now_ps_) ++stats_.delayed_acts;
-      bank_ready_ps_[bank] =
-          std::max(bank_ready_ps_[bank], now_ps_) + cfg_.timing.t_rc_ps;
-    }
+    if (bank_ready_ps_[bank] > now_ps_) ++stats_.delayed_acts;
+    bank_ready_ps_[bank] =
+        std::max(bank_ready_ps_[bank], now_ps_) + cfg_.timing.t_rc_ps;
     ++stats_.demand_acts;
     ++(record.write ? stats_.writes : stats_.reads);
     ++interval_acts_[bank];
@@ -155,9 +153,8 @@ class ScalarReferenceController {
       for (dram::BankId b = 0; b < engine_.banks(); ++b) {
         stats_.acts_per_interval.add(static_cast<double>(interval_acts_[b]));
         interval_acts_[b] = 0;
-        if (cfg_.enforce_timing)
-          bank_ready_ps_[b] = std::max(bank_ready_ps_[b],
-                                       boundary_ps + cfg_.timing.t_rfc_ps);
+        bank_ready_ps_[b] =
+            std::max(bank_ready_ps_[b], boundary_ps + cfg_.timing.t_rfc_ps);
         for (const auto row : rows) {
           disturbance_.on_refresh_row(b, row);
           ++stats_.rows_refreshed;
@@ -171,7 +168,7 @@ class ScalarReferenceController {
 
   void activate_physical(dram::BankId bank, dram::RowId row,
                          std::uint32_t interval) {
-    if (cfg_.enforce_timing) bank_ready_ps_[bank] += cfg_.timing.t_rc_ps;
+    bank_ready_ps_[bank] += cfg_.timing.t_rc_ps;
     disturbance_.on_activate(bank, row, interval);
   }
 
@@ -230,17 +227,17 @@ struct FeedOutcome {
   std::uint64_t peak_q8 = 0;
 };
 
-/// Feeds @p records into a freshly built system for @p cfg and
-/// @p factory, with the aggressor oracle wired for FPR accounting when
-/// @p aggressors is given. batch == 0 runs the ScalarReferenceController
-/// (the baseline); any other batch delivers through the production
-/// controller's on_records in chunks of @p batch, with @p bank_jobs
-/// shard workers.
-FeedOutcome feed_outcome(const SimConfig& cfg,
-                         const mem::BankMitigationFactory& factory,
-                         std::size_t batch, std::size_t bank_jobs,
-                         const std::unordered_set<std::uint64_t>* aggressors,
-                         const std::vector<trace::AccessRecord>& records) {
+/// Builds a fresh system for @p cfg and @p factory, with the aggressor
+/// oracle wired for FPR accounting when @p aggressors is given and
+/// @p bank_jobs shard workers, hands it to
+/// @p feed(controller_cfg, engine, disturbance, controller_rng, oracle)
+/// — which returns the controller stats — and captures the outcome.
+template <class Feed>
+FeedOutcome run_outcome(const SimConfig& cfg,
+                        const mem::BankMitigationFactory& factory,
+                        std::size_t bank_jobs,
+                        const std::unordered_set<std::uint64_t>* aggressors,
+                        Feed&& feed) {
   util::Rng rng(cfg.seed);
   (void)rng.fork();  // workload stream, unused: records are pre-drained
   util::Rng engine_rng = rng.fork();
@@ -262,27 +259,44 @@ FeedOutcome feed_outcome(const SimConfig& cfg,
     };
   }
   FeedOutcome out;
-  if (batch == 0) {
-    ScalarReferenceController reference(controller_cfg, engine, disturbance,
-                                        controller_rng);
-    reference.set_aggressor_oracle(oracle);
-    for (const auto& r : records) reference.on_record(r);
-    reference.advance_to(cfg.duration_ps());
-    out.stats = reference.stats();
-  } else {
-    mem::MemoryController controller(controller_cfg, engine, disturbance,
-                                     controller_rng);
-    controller.set_aggressor_oracle(oracle);
-    for (std::size_t i = 0; i < records.size(); i += batch)
-      controller.on_records(records.data() + i,
-                            std::min(batch, records.size() - i));
-    controller.advance_to(cfg.duration_ps());
-    out.stats = controller.stats();
-  }
+  out.stats = feed(controller_cfg, engine, disturbance, controller_rng, oracle);
   out.flips = disturbance.flips();
   out.activations = disturbance.activations();
   out.peak_q8 = disturbance.peak_disturbance_q8();
   return out;
+}
+
+/// Feeds @p records through run_outcome. batch == 0 runs the
+/// ScalarReferenceController (the baseline); any other batch delivers
+/// through the production controller's on_records in chunks of
+/// @p batch.
+FeedOutcome feed_outcome(const SimConfig& cfg,
+                         const mem::BankMitigationFactory& factory,
+                         std::size_t batch, std::size_t bank_jobs,
+                         const std::unordered_set<std::uint64_t>* aggressors,
+                         const std::vector<trace::AccessRecord>& records) {
+  return run_outcome(
+      cfg, factory, bank_jobs, aggressors,
+      [&](const mem::ControllerConfig& controller_cfg,
+          mem::MitigationEngine& engine, dram::DisturbanceModel& disturbance,
+          util::Rng& controller_rng, const mem::AggressorOracle& oracle) {
+        if (batch == 0) {
+          ScalarReferenceController reference(controller_cfg, engine,
+                                              disturbance, controller_rng);
+          reference.set_aggressor_oracle(oracle);
+          for (const auto& r : records) reference.on_record(r);
+          reference.advance_to(cfg.duration_ps());
+          return reference.stats();
+        }
+        mem::MemoryController controller(controller_cfg, engine, disturbance,
+                                         controller_rng);
+        controller.set_aggressor_oracle(oracle);
+        for (std::size_t i = 0; i < records.size(); i += batch)
+          controller.on_records(records.data() + i,
+                                std::min(batch, records.size() - i));
+        controller.advance_to(cfg.duration_ps());
+        return controller.stats();
+      });
 }
 
 /// Asserts that @p got matches @p base in every pinned field.
@@ -323,6 +337,30 @@ void expect_same_outcome(const FeedOutcome& base, const FeedOutcome& got,
   }
 }
 
+/// A deliberately tiny system for the equivalence suite. The refresh
+/// interval length (tREFI) matches DDR4 so per-interval ACT budgets and
+/// *PRoMi weight schedules keep their real shape; thresholds are scaled
+/// down so deterministic techniques trigger and real flips land within
+/// the short run.
+SimConfig tiny_attacked_config() {
+  SimConfig cfg;
+  cfg.geometry.banks_per_rank = 4;
+  cfg.geometry.rows_per_bank = 16384;
+  cfg.timing.t_refw_ps = 2'000'000'000;  // 2 ms window
+  cfg.timing.refresh_intervals = 256;    // keeps tREFI at ~7.8 us
+  cfg.windows = 1;
+  cfg.workload.benign_acts_per_interval_per_bank = 5.0;
+  cfg.technique.flip_threshold = 4000;   // counter_threshold() == 1000
+  cfg.disturbance.flip_threshold = 3000;
+  trace::AttackConfig attack;
+  attack.victims = {1000, 5000};
+  attack.rows_per_bank = cfg.geometry.rows_per_bank;
+  attack.interarrival_ps = 180'000;  // 4 * tRC: ~11 K attack ACTs
+  cfg.workload.attacks.push_back(attack);
+  cfg.finalize();
+  return cfg;
+}
+
 TEST(Runner, BatchedDeliveryIsBitIdenticalToRecordAtATime) {
   // The batched pull path must produce the same record sequence and the
   // same RNG draw order as record-at-a-time delivery — identical stats
@@ -354,27 +392,8 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
   // (including the FPR / ground-truth accounting driven by the
   // aggressor oracle), the phase histogram, first_extra_act_at, and the
   // exact flip-event history.
-  // A deliberately tiny system — 99 full simulations run below. The
-  // refresh interval length (tREFI) matches DDR4 so per-interval ACT
-  // budgets and *PRoMi weight schedules keep their real shape; thresholds
-  // are scaled down so deterministic techniques trigger and real flips
-  // land within the short run.
-  SimConfig cfg;
-  cfg.geometry.banks_per_rank = 4;
-  cfg.geometry.rows_per_bank = 16384;
-  cfg.timing.t_refw_ps = 2'000'000'000;  // 2 ms window
-  cfg.timing.refresh_intervals = 256;    // keeps tREFI at ~7.8 us
-  cfg.windows = 1;
-  cfg.workload.benign_acts_per_interval_per_bank = 5.0;
-  cfg.technique.flip_threshold = 4000;   // counter_threshold() == 1000
-  cfg.disturbance.flip_threshold = 3000;
-  trace::AttackConfig attack;
-  attack.victims = {1000, 5000};
-  attack.rows_per_bank = cfg.geometry.rows_per_bank;
-  attack.interarrival_ps = 180'000;  // 4 * tRC: ~11 K attack ACTs
-  cfg.workload.attacks.push_back(attack);
-  cfg.finalize();
-
+  // 99 full simulations of the tiny system run below.
+  const SimConfig cfg = tiny_attacked_config();
   std::unordered_set<std::uint64_t> aggressors;
   util::Rng workload_rng = util::Rng(cfg.seed).fork();
   const auto records =
@@ -405,6 +424,129 @@ TEST(Runner, EveryTechniqueBatchAndShardingAreBitIdentical) {
             feed_outcome(cfg, factory, batch, jobs, &aggressors, records),
             name + " batch " + std::to_string(batch) + " jobs " +
                 std::to_string(jobs));
+      }
+    }
+  }
+}
+
+TEST(Runner, BatchedThrowAfterValidPrefixIsBitIdentical) {
+  // on_records' error contract: a record with a bad bank, a bad row or
+  // a backwards timestamp throws after the valid prefix before it has
+  // been processed. The state left behind must equal the
+  // ScalarReferenceController fed that prefix (plus, for an address
+  // error, the refresh ticks up to the bad record's time) — through
+  // on_records and through on_records_partitioned's fallback, with the
+  // bad record at a segment start and mid-segment. bank_jobs 0 follows
+  // TVP_JOBS, so the CI runs this serial and sharded.
+  const SimConfig cfg = tiny_attacked_config();
+  std::unordered_set<std::uint64_t> aggressors;
+  util::Rng workload_rng = util::Rng(cfg.seed).fork();
+  const auto records =
+      trace::drain(*build_workload(cfg, workload_rng, &aggressors));
+  const std::uint64_t t_refi = cfg.timing.t_refi_ps();
+  const auto interval_of = [&](std::size_t i) {
+    return records[i].time_ps / t_refi;
+  };
+  // Late in the run, where the prefix holds flips and triggers.
+  std::size_t segment_start = records.size() * 3 / 4;
+  while (interval_of(segment_start) == interval_of(segment_start - 1))
+    ++segment_start;
+  std::size_t mid_segment = segment_start + 1;
+  while (interval_of(mid_segment + 1) != interval_of(mid_segment - 1))
+    ++mid_segment;
+  ASSERT_LT(mid_segment + 1, records.size());
+
+  std::vector<std::pair<std::string, mem::BankMitigationFactory>> variants;
+  variants.emplace_back("none", [](dram::BankId, util::Rng) {
+    return std::make_unique<mem::NoMitigation>();
+  });
+  // The prefix flips under none; ProHit issues its activations at REF,
+  // PARA and TWiCe at ACT.
+  for (const auto t :
+       {hw::Technique::kPara, hw::Technique::kProHit, hw::Technique::kTwice})
+    variants.emplace_back(std::string(hw::to_string(t)),
+                          make_factory(t, cfg.technique));
+
+  enum class Bad { kBank, kRow, kTime };
+  for (const auto& [name, factory] : variants) {
+    for (const std::size_t k : {segment_start, mid_segment}) {
+      for (const Bad bad : {Bad::kBank, Bad::kRow, Bad::kTime}) {
+        std::vector<trace::AccessRecord> batch(records.begin(),
+                                               records.begin() + k + 100);
+        switch (bad) {
+          case Bad::kBank: batch[k].bank = cfg.geometry.total_banks(); break;
+          case Bad::kRow: batch[k].row = cfg.geometry.rows_per_bank; break;
+          case Bad::kTime: batch[k].time_ps = batch[k - 1].time_ps - 1; break;
+        }
+        const FeedOutcome base = run_outcome(
+            cfg, factory, 0, &aggressors,
+            [&](const mem::ControllerConfig& controller_cfg,
+                mem::MitigationEngine& engine,
+                dram::DisturbanceModel& disturbance, util::Rng& rng,
+                const mem::AggressorOracle& oracle) {
+              ScalarReferenceController reference(controller_cfg, engine,
+                                                  disturbance, rng);
+              reference.set_aggressor_oracle(oracle);
+              for (std::size_t i = 0; i < k; ++i) reference.on_record(batch[i]);
+              if (bad != Bad::kTime) reference.advance_to(batch[k].time_ps);
+              return reference.stats();
+            });
+
+        // Lanes of the batch's in-range records (serials index the
+        // batch), with one lane's max_row out of range so
+        // on_records_partitioned must fall back to on_records.
+        const std::uint32_t banks = cfg.geometry.total_banks();
+        std::vector<std::vector<std::uint32_t>> serials(banks);
+        std::vector<std::vector<dram::RowId>> rows(banks);
+        std::vector<std::vector<std::uint64_t>> times(banks);
+        std::vector<std::vector<std::uint8_t>> writes(banks);
+        for (std::size_t i = 0; i < batch.size(); ++i) {
+          const dram::BankId b = batch[i].bank;
+          if (b >= banks) continue;
+          serials[b].push_back(static_cast<std::uint32_t>(i));
+          rows[b].push_back(batch[i].row);
+          times[b].push_back(batch[i].time_ps);
+          writes[b].push_back(batch[i].write ? 1 : 0);
+        }
+        std::vector<trace::BankLaneView> lanes(banks);
+        for (std::uint32_t b = 0; b < banks; ++b) {
+          lanes[b] = trace::BankLaneView{rows[b].data(), times[b].data(),
+                                         serials[b].data(), writes[b].data(),
+                                         serials[b].size(), 0};
+          for (const dram::RowId row : rows[b])
+            lanes[b].max_row = std::max(lanes[b].max_row, row);
+        }
+        lanes[0].max_row = cfg.geometry.rows_per_bank;
+
+        for (const bool partitioned : {false, true}) {
+          const std::string label = name + " k " + std::to_string(k) +
+                                    " bad " +
+                                    std::to_string(static_cast<int>(bad)) +
+                                    (partitioned ? " partitioned" : "");
+          const FeedOutcome got = run_outcome(
+              cfg, factory, 0, &aggressors,
+              [&](const mem::ControllerConfig& controller_cfg,
+                  mem::MitigationEngine& engine,
+                  dram::DisturbanceModel& disturbance, util::Rng& rng,
+                  const mem::AggressorOracle& oracle) {
+                mem::MemoryController controller(controller_cfg, engine,
+                                                 disturbance, rng);
+                controller.set_aggressor_oracle(oracle);
+                const auto feed = [&] {
+                  if (partitioned)
+                    controller.on_records_partitioned(
+                        batch.data(), batch.size(), lanes.data(), banks);
+                  else
+                    controller.on_records(batch.data(), batch.size());
+                };
+                if (bad == Bad::kTime)
+                  EXPECT_THROW(feed(), std::invalid_argument) << label;
+                else
+                  EXPECT_THROW(feed(), std::out_of_range) << label;
+                return controller.stats();
+              });
+          expect_same_outcome(base, got, label);
+        }
       }
     }
   }

@@ -287,9 +287,7 @@ TEST(Controller, BatchedRecordsMatchRecordAtATime) {
 }
 
 TEST(Controller, TrcStallsBackToBackActs) {
-  ControllerConfig cfg = small_config();
-  cfg.enforce_timing = true;
-  Rig rig(cfg);
+  Rig rig;
   rig.controller.on_record(rec(10, 0, 1));
   rig.controller.on_record(rec(20, 0, 2));  // 10 ps later: inside tRC
   EXPECT_EQ(rig.controller.stats().delayed_acts, 1u);
